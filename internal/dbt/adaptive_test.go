@@ -14,6 +14,19 @@ import (
 // at the given iteration: the scenario the adaptive mode exists for.
 func phasedLooper(t testing.TB, iters, boundary, earlyBias, lateBias int32) func(cfg Config) (*profile.Snapshot, *RunStats) {
 	t.Helper()
+	image := phasedImage(t, iters, boundary, earlyBias, lateBias)
+	return func(cfg Config) (*profile.Snapshot, *RunStats) {
+		snap, stats, err := Run(image, interp.NewUniformTape("adaptive/ref"), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap, stats
+	}
+}
+
+// phasedImage assembles phasedLooper's program.
+func phasedImage(t testing.TB, iters, boundary, earlyBias, lateBias int32) *guest.Image {
+	t.Helper()
 	src := `
 .entry main
 main:
@@ -45,13 +58,7 @@ next:
 	if err != nil {
 		t.Fatal(err)
 	}
-	return func(cfg Config) (*profile.Snapshot, *RunStats) {
-		snap, stats, err := Run(image, interp.NewUniformTape("adaptive/ref"), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return snap, stats
-	}
+	return image
 }
 
 func TestAdaptiveDissolvesMisbehavingRegions(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/guest"
 	"repro/internal/interp"
+	"repro/internal/perfmodel"
 )
 
 // Hot-loop microbenchmarks: the block dispatch paths (arena fast path
@@ -126,38 +127,58 @@ func BenchmarkExecGeneric(b *testing.B) {
 // benchRunMulti measures shared-trace throughput with one driver plus
 // followers at a ladder of thresholds, the study's actual execution
 // shape. Reported blocks/s sums over every profiling context advanced
-// (driver + followers), matching how the study's Perf aggregates.
-func benchRunMulti(b *testing.B, img *guest.Image, followers int) {
+// (driver + followers), matching how the study's Perf aggregates;
+// ns/follower-block divides the whole shared run's time (driver share
+// included) by the blocks the followers replayed. With perf set, every
+// engine charges a DefaultParams perf-model accumulator, as study runs
+// do.
+func benchRunMulti(b *testing.B, img *guest.Image, followers int, perf bool) {
 	b.ReportAllocs()
 	cfgs := make([]Config, 1+followers)
 	cfgs[0] = Config{Optimize: false} // AVEP driver
 	for i := 1; i < len(cfgs); i++ {
 		cfgs[i] = Config{Optimize: true, Threshold: uint64(64 << (uint(i-1) % 8))}
 	}
-	var blocks uint64
+	var blocks, followerBlocks uint64
 	for i := 0; i < b.N; i++ {
+		if perf {
+			for j := range cfgs {
+				cfgs[j].Perf = perfmodel.NewAccumulator(perfmodel.DefaultParams())
+			}
+		}
 		_, statss, err := RunMulti(img, interp.NewUniformTape("bench/ref"), cfgs)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, st := range statss {
+		for j, st := range statss {
 			blocks += st.BlocksExecuted
+			if j > 0 {
+				followerBlocks += st.BlocksExecuted
+			}
 		}
 	}
 	b.ReportMetric(float64(blocks)/b.Elapsed().Seconds(), "blocks/s")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(followerBlocks), "ns/follower-block")
 }
 
-// BenchmarkRunMulti measures batched follower replay at the follower
-// counts the ISSUE tracks: 1, 4 and 16 profiling contexts behind one
-// driver, for both guest shapes.
+// BenchmarkRunMulti measures batched follower replay at 1, 4 and 16
+// profiling contexts behind one driver, for both guest shapes, without
+// and with (the /perf variants) the perf model's per-block charges.
 func BenchmarkRunMulti(b *testing.B) {
 	for _, n := range []int{1, 4, 16} {
 		n := n
-		b.Run("loop_heavy/followers_"+itoa(int32(n)), func(b *testing.B) {
-			benchRunMulti(b, buildLoopHeavy(b, 50_000), n)
-		})
-		b.Run("branch_heavy/followers_"+itoa(int32(n)), func(b *testing.B) {
-			benchRunMulti(b, buildBranchHeavy(b, 25_000), n)
-		})
+		for _, perf := range []bool{false, true} {
+			perf := perf
+			suffix := ""
+			if perf {
+				suffix = "/perf"
+			}
+			b.Run("loop_heavy/followers_"+itoa(int32(n))+suffix, func(b *testing.B) {
+				benchRunMulti(b, buildLoopHeavy(b, 50_000), n, perf)
+			})
+			b.Run("branch_heavy/followers_"+itoa(int32(n))+suffix, func(b *testing.B) {
+				benchRunMulti(b, buildBranchHeavy(b, 25_000), n, perf)
+			})
+		}
 	}
 }

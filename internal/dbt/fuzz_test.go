@@ -141,12 +141,14 @@ func runPath(tb testing.TB, img *guest.Image, disableFast bool) (*Engine, string
 	return e, msg
 }
 
-// checkExecPaths runs the program both ways and asserts full agreement.
+// checkExecPaths runs the program both ways and asserts full agreement,
+// then checks follower replay of its trace against the per-entry oracle.
 func checkExecPaths(t *testing.T, data []byte) {
 	img := buildFuzzProgram(data)
 	if img == nil {
 		return
 	}
+	checkReplayOracle(t, img)
 	fast, fastErr := runPath(t, img, false)
 	gen, genErr := runPath(t, img, true)
 

@@ -172,6 +172,20 @@ func lowerTermKind(op isa.Op) (tkind, bool) {
 	return 0, false
 }
 
+// lowerable reports whether lower would accept a block with these
+// instructions (body then terminator), without lowering it.
+func lowerable(insts []isa.Inst) bool {
+	if _, ok := lowerTermKind(insts[len(insts)-1].Op); !ok {
+		return false
+	}
+	for _, in := range insts[:len(insts)-1] {
+		if _, ok := lowerBodyKind(in.Op); !ok {
+			return false
+		}
+	}
+	return true
+}
+
 // lower appends the block's body to the engine's lowered-op arena and
 // fills its row of the flat block table, reporting success. A block
 // that cannot be lowered (an opcode unknown to the lowerer) leaves the

@@ -7,27 +7,54 @@
 // engines, so an AVEP run and a whole INIP(T) ladder cost one execution
 // plus N bookkeeping passes instead of N full runs.
 //
-// Each follower engine steps through exactly the code path a serial run
-// would (preExec, postExec), with its own code cache, counters, region
-// former and perf accumulator, so its snapshot, statistics and cycle
-// totals are bit-for-bit what a serial Run with the same Config would
+// Each follower engine keeps its own code cache, counters, region
+// former and perf accumulator, and ends with bit-for-bit the snapshot,
+// statistics and cycle totals a serial Run with the same Config would
 // have produced. Tests cross-validate this for every configuration
-// class.
+// class and step a per-entry oracle (oracle_test.go) against the
+// follower loop.
 //
-// Replay is batched: the driver records (nextPC, halted) outcomes into
-// a fixed buffer of replayBatch entries, and each follower then drains
-// the whole batch in one tight specialized loop (drainBatch) that
-// reproduces the exact serial per-entry sequence (preExec, then
-// postExec), so nothing observable changes versus per-block
-// interleaving — counters, wave timing and interrupt-poll cadence are
-// all driven by each engine's own block count. What changes is locality: one follower's caches, counters and
-// region state stay hot across thousands of entries instead of 1+N
-// engines evicting each other every block. The only semantic skew is
-// error ordering across engines — the driver executes up to replayBatch
-// blocks ahead, so a driver-side fault at block k+j can surface before
-// a follower's budget/trap error at block k. Errored RunMulti results
-// are discarded wholesale by every caller, and in practice all configs
-// share TrapAfter/MaxBlockExecs, so the first error wins identically.
+// Replay is driver-resolved. How a block's successor is found depends
+// on the trace alone: chain pointers are written only on resolution
+// misses, and a block is translated only on its first visit, so every
+// engine replaying one trace translates the same blocks in the same
+// order — assigning the same dense tblock ids — and probes the code
+// cache on the same entries. The driver therefore records per entry,
+// beside the architectural outcome (nextPC, halted), the successor's
+// block id, the taken-edge bit and whether resolution reached the
+// code-cache lookup. A follower indexes its flat block table by the
+// recorded id instead of chasing chain pointers, and translates only
+// when the id is the next one it would assign; a translation that lands
+// on any other id is an error, never a silent divergence. Followers
+// write no chain pointers and no indirect-target tables, and lower no
+// code: they only check each block for lowerability, since the
+// dispatch split they report depends on it. Since each
+// entry executes the same block on every engine, the instruction count,
+// the number of lowered (fast-dispatchable) blocks and the number of
+// cache probes of a batch are the same for every follower too: the
+// driver sums them once per batch (sumBatch), and a follower re-sums
+// only the prefix it processed when it stops mid-batch.
+//
+// Replay is batched: the driver records outcomes into a fixed buffer of
+// replayBatch entries, and each follower then drains the whole batch in
+// one tight loop (drainBatch). Counters, wave timing and interrupt-poll
+// cadence are all driven by each engine's own block count, so nothing
+// observable changes versus per-block interleaving. What changes is
+// locality: one follower's caches, counters and region state stay hot
+// across thousands of entries instead of 1+N engines evicting each
+// other every block. The cursors, the sampling countdown and the perf
+// model's running total and execution tallies stay in locals for the
+// whole batch; the tallies are handed to the Accumulator around the
+// only callees that charge it or may run long (optimizeWave, translate,
+// adaptive dissolution) and at the flush, and every float add happens in
+// the serial order, so the totals are bit-identical.
+//
+// The only semantic skew is error ordering across engines — the driver
+// executes up to replayBatch blocks ahead, so a driver-side fault at
+// block k+j can surface before a follower's budget/trap error at block
+// k. Errored RunMulti results are discarded wholesale by every caller,
+// and in practice all configs share TrapAfter/MaxBlockExecs, so the
+// first error wins identically.
 package dbt
 
 import (
@@ -35,6 +62,7 @@ import (
 
 	"repro/internal/guest"
 	"repro/internal/interp"
+	"repro/internal/perfmodel"
 	"repro/internal/profile"
 )
 
@@ -43,11 +71,25 @@ import (
 // bounds how far execution runs ahead of follower bookkeeping.
 const replayBatch = interruptCheckMask + 1
 
-// outcome is one recorded architectural block outcome: everything a
-// follower needs to advance its profiling state machine past one block.
+// outcome is one recorded block outcome: everything a follower needs to
+// advance its profiling state machine past one block. nextPC and halted
+// are architectural; next, taken and lookup record how the driver
+// resolved the successor, which every follower would resolve the same
+// way (see the package comment).
 type outcome struct {
 	nextPC int32
+	// next is the successor's block id: a row of the flat block table,
+	// equal to the table's length when the driver translated the
+	// successor for this entry, and -1 on a halting entry whose
+	// successor address holds no translated block.
+	next   int32
 	halted bool
+	// taken is the fired terminator edge (always set for blocks without
+	// a conditional branch).
+	taken bool
+	// lookup reports that resolution missed the chain pointers and
+	// probed the code cache (one CacheLookups count).
+	lookup bool
 }
 
 // RunMulti executes the guest once and produces one profile snapshot
@@ -78,14 +120,15 @@ func runMulti(img *guest.Image, tape interp.Tape, cfgs []Config, observers []Tra
 			tp = tape
 		} else {
 			// Followers never execute guest instructions, so they need
-			// no tape and must not poll the interrupt channel (the
-			// driver already does).
+			// no tape, lower no code, and must not poll the interrupt
+			// channel (the driver already does).
 			cfg.Interrupt = nil
 		}
 		e, err := New(img, tp, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
+		e.replay = i > 0
 		engines[i] = e
 	}
 	driver := engines[0]
@@ -105,8 +148,8 @@ func runMulti(img *guest.Image, tape interp.Tape, cfgs []Config, observers []Tra
 		// Fill one batch: the driver's budget/interrupt check runs
 		// before each block, exactly as in a serial run. The batch's
 		// first block is the driver's cursor, which the observer walk
-		// needs before fillBatch advances it.
-		startPC := driver.cur.addr
+		// and sumBatch need before fillBatch advances it.
+		first := driver.cur
 		var batch []outcome
 		var err error
 		batch, done, err = driver.fillBatch(buf[:0])
@@ -114,17 +157,20 @@ func runMulti(img *guest.Image, tape interp.Tape, cfgs []Config, observers []Tra
 			return nil, nil, err
 		}
 		if len(observers) > 0 {
-			events = appendBranchEvents(events[:0], driver, startPC, batch)
+			events = appendBranchEvents(events[:0], driver, first.addr, batch)
 			for _, o := range observers {
 				o.ObserveBranches(events)
 			}
 		}
 		// Drain it through each follower: per entry the exact serial
-		// accounting + bookkeeping sequence, over thousands of entries
-		// per engine switch.
-		for _, e := range followers {
-			if err := e.drainBatch(batch); err != nil {
-				return nil, nil, err
+		// bookkeeping, successors resolved from the recorded ids, over
+		// thousands of entries per engine switch.
+		if len(followers) > 0 {
+			sums := sumBatch(driver.blocks, first, batch)
+			for _, e := range followers {
+				if err := e.drainBatch(batch, sums); err != nil {
+					return nil, nil, err
+				}
 			}
 		}
 	}
@@ -138,16 +184,18 @@ func runMulti(img *guest.Image, tape interp.Tape, cfgs []Config, observers []Tra
 
 // fillBatch executes the guest until the appended outcome batch reaches
 // its capacity, the guest halts (done=true), or the engine stops with an
-// error. It is the execution twin of drainBatch: the per-block
-// preExec / exec / postExec sequence of the serial run loop, inlined so
-// the block count, poll tick, sum counters and the block/region cursors
-// live in registers across the batch and are written back once. Both
-// the serial Run loop and RunMulti's driver use it — the serial caller
-// just discards the recorded outcomes.
+// error. It is the execution twin of drainBatch: the per-block step of
+// the serial run (the oracle of oracle_test.go), inlined so the block
+// count, poll tick, sum counters and the block/region cursors live in
+// registers across the batch and are written back once. Both the serial
+// Run loop and RunMulti's driver use it — the serial caller just
+// discards the recorded outcomes. An entry is appended once its
+// successor is resolved or translated, so it carries the successor's
+// block id; an entry whose translation fails is not recorded.
 //
-// Any behavioural edit to preExec or postExec MUST be mirrored here and
-// in drainBatch; the serial-vs-follower equivalence tests and
-// FuzzExecPaths pin the contract bit-for-bit.
+// Any behavioural edit here MUST be mirrored in drainBatch and the
+// oracle; the serial-vs-follower equivalence tests, the oracle
+// differential and FuzzExecPaths pin the contract bit-for-bit.
 func (e *Engine) fillBatch(batch []outcome) ([]outcome, bool, error) {
 	count := e.stats.BlocksExecuted
 	var instr, fastN, genN, polls uint64
@@ -200,7 +248,8 @@ func (e *Engine) fillBatch(batch []outcome) ([]outcome, bool, error) {
 			break
 		}
 
-		// postExec, inlined (same body as drainBatch's replay loop).
+		// The profiling step (the same body as drainBatch's replay loop,
+		// which takes the successor from the recorded outcome instead).
 		instr += uint64(tb.ninsts)
 		if fastPath && tb.lowered {
 			fastN++
@@ -251,7 +300,8 @@ func (e *Engine) fillBatch(batch []outcome) ([]outcome, bool, error) {
 				tb.takenBlk = nb
 			}
 		}
-		if next == nil {
+		lookedUp := next == nil
+		if lookedUp {
 			if next = e.lookup(nextPC); next != nil {
 				e.chain(tb, takenEdge, next)
 			}
@@ -285,7 +335,7 @@ func (e *Engine) fillBatch(batch []outcome) ([]outcome, bool, error) {
 					switch {
 					case nn == nil:
 						e.curRegion = rt
-						e.leaveRegion(rt.r.Kind == profile.RegionTrace && node == rt.last)
+						e.leaveRegion(node == rt.completes)
 						curRegion, curNode = nil, nil
 					case nn == rt.entry:
 						e.stats.RegionLoopBacks++
@@ -304,19 +354,23 @@ func (e *Engine) fillBatch(batch []outcome) ([]outcome, bool, error) {
 			}
 		}
 
-		batch = append(batch, outcome{nextPC: int32(nextPC), halted: halted})
-		if halted {
-			e.halted = true
-			done = true
-			break
-		}
-		if next == nil {
+		if next == nil && !halted {
 			next, err = e.translate(nextPC)
 			if err != nil {
 				kind, retErr = 3, err
 				break
 			}
 			e.chain(tb, takenEdge, next)
+		}
+		id := int32(-1)
+		if next != nil {
+			id = next.id
+		}
+		batch = append(batch, outcome{nextPC: int32(nextPC), next: id, halted: halted, taken: takenEdge, lookup: lookedUp})
+		if halted {
+			e.halted = true
+			done = true
+			break
 		}
 		cur = next
 	}
@@ -342,40 +396,63 @@ func (e *Engine) fillBatch(batch []outcome) ([]outcome, bool, error) {
 	return batch, done, nil
 }
 
+// batchSums are the counts every follower of a batch would otherwise
+// accumulate entry by entry: guest instructions, entries whose block the
+// lowerer accepted (fast dispatches on a fast-path engine), and entries
+// flagged lookup.
+type batchSums struct {
+	instr, lowered, lookups uint64
+}
+
+// sumBatch totals batchSums over the entries of batch, whose first entry
+// executes block cur; each later entry executes the block its
+// predecessor recorded as successor. Block ids, lowering and
+// instruction counts agree across the engines of one trace, so the
+// driver sums a batch once for all followers, and a follower that stops
+// mid-batch re-sums its prefix with its own blocks.
+func sumBatch(blocks []*tblock, cur *tblock, batch []outcome) batchSums {
+	var s batchSums
+	for i := range batch {
+		o := &batch[i]
+		s.instr += uint64(cur.ninsts)
+		if cur.lowered {
+			s.lowered++
+		}
+		if o.lookup {
+			s.lookups++
+		}
+		if id := uint(o.next); id < uint(len(blocks)) {
+			cur = blocks[id]
+		}
+	}
+	return s
+}
+
 // drainBatch replays one recorded batch through a follower engine,
-// producing exactly the state the per-entry preExec/postExec sequence
-// would. It is the study's hottest loop — one call per follower per
-// 4096 blocks instead of two calls per follower per block — so the
-// serial code path is restructured, never changed:
+// producing exactly the state stepping the per-entry oracle would. It
+// is the study's hottest loop — one call per follower per 4096 blocks —
+// so the serial step is restructured, never changed:
 //
 //   - budget/trap checks compare the block count against fixed values,
-//     so the first entry (if any) whose preExec would error is computed
-//     up front, in the serial order (count first, budget before trap);
+//     so the first entry (if any) whose step would error is computed up
+//     front, in the serial order (count first, budget before trap);
 //   - the interrupt-poll counter ticks on 4096-boundary crossings of
-//     the block count, so a batch's ticks are pure arithmetic (follower
-//     channels are stripped by RunMulti, so there is nothing to poll —
-//     an engine with a live channel takes the per-entry path instead);
-//   - the pure-sum counters (instructions, dispatch split, block count)
-//     accumulate in locals flushed on every exit path, and the postExec
-//     state machine is inlined so engine-invariant fields stay in
-//     registers across the batch.
+//     the block count, so a batch's ticks are pure arithmetic (RunMulti
+//     strips follower interrupt channels; the driver polls for them);
+//   - successors come from the driver's recorded block ids, and the
+//     instruction, dispatch and cache-probe counts from the driver's
+//     sums (see the package comment), so no entry counts them;
+//   - the region cursor, the sampling countdown and the perf tallies
+//     live in locals. leaveRegion is inlined, so leaving a region makes
+//     no call; the locals are handed to the engine only around the rare
+//     calls (registration and waves, adaptive dissolution, translation)
+//     and at the flush, so they are never live across a call and the
+//     float tallies stay in registers for the whole batch.
 //
-// Any behavioural edit to preExec or postExec MUST be mirrored here;
-// the serial-vs-follower equivalence tests and FuzzExecPaths pin the
-// contract bit-for-bit.
-func (e *Engine) drainBatch(batch []outcome) error {
-	if e.interrupt != nil {
-		for _, o := range batch {
-			if err := e.preExec(); err != nil {
-				return err
-			}
-			if err := e.postExec(int(o.nextPC), o.halted); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
+// Any behavioural edit to fillBatch's step MUST be mirrored here and in
+// the oracle; the serial-vs-follower equivalence tests and the oracle
+// differential pin the contract bit-for-bit.
+func (e *Engine) drainBatch(batch []outcome, sums batchSums) error {
 	start := e.stats.BlocksExecuted
 	n := uint64(len(batch))
 	stop, errKind := n, 0 // errKind: 0 clean, 1 budget, 2 trap
@@ -392,36 +469,25 @@ func (e *Engine) drainBatch(batch []outcome) error {
 		}
 	}
 
-	// The sum counters accumulate in locals and the cursor stays in a
-	// register; both are written back in the single flush block below.
-	// No closure: captured accumulators would be forced into memory and
-	// cost a load/store per entry.
-	var instr, fastN, genN uint64
 	processed := stop
 	var retErr error
-	fastPath, optimize, conv := e.fastPath, e.optimize, e.converge
+	optimize, conv, adaptive := e.optimize, e.converge, e.cfg.Adaptive
 	samplePeriod, gap := e.samplePeriod, e.sampleGap
-	perf := e.perf
-	cur := e.cur
-	// The region cursor also lives in locals across the batch: it is read
-	// on every entry (the perf charge class tests it) but leaves a region
-	// rarely. leaveRegion is the one callee that touches the engine
-	// fields, so the cold paths sync e.curRegion before the call and null
-	// the locals after; the flush writes the final cursor back.
+	blocks := e.blocks
+	first := e.cur
+	cur := first
 	curRegion, curNode := e.curRegion, e.curNode
+	perf := e.perf
+	var pp perfmodel.Params
+	var cycles, quick, prof, optimized, offTrace, penalty float64
+	if perf != nil {
+		pp = perf.Params()
+		cycles, quick, prof, optimized, offTrace, penalty = perf.ExecTallies()
+	}
 	for i := uint64(0); i < stop; i++ {
-		o := batch[i]
-		nextPC := int(o.nextPC)
+		o := &batch[i]
 		tb := cur
-		instr += uint64(tb.ninsts)
-		if fastPath && tb.lowered {
-			fastN++
-		} else {
-			genN++
-		}
-
-		takenEdge := !tb.hasBranch || nextPC == tb.takenTarget
-
+		takenEdge := o.taken
 		sampledEvent := true
 		if samplePeriod > 1 {
 			gap--
@@ -438,80 +504,106 @@ func (e *Engine) drainBatch(batch []outcome) error {
 				tb.taken++
 				e.profOps++
 			}
-			if optimize {
-				var ready bool
+			if optimize && (conv || tb.use == tb.nextRegister) {
+				// Registration may start a wave, which charges the
+				// accumulator; the locals are handed over so that none
+				// is live across the calls.
+				e.curRegion, e.curNode = curRegion, curNode
+				if perf != nil {
+					perf.SetExecTallies(cycles, quick, prof, optimized, offTrace, penalty)
+				}
+				ready := true
 				if conv {
 					ready = e.shouldRegister(tb)
-				} else if tb.use == tb.nextRegister {
-					ready = true
+				} else {
 					tb.nextRegister += e.regThreshold
 				}
 				if ready && e.register(tb) {
 					e.optimizeWave()
 				}
+				if perf != nil {
+					cycles, quick, prof, optimized, offTrace, penalty = perf.ExecTallies()
+				}
+				curRegion, curNode = e.curRegion, e.curNode
 			}
 		}
 
+		// The successor is translated already unless its id is the next
+		// one this engine assigns (or -1 on a halt).
 		var next *tblock
-		if takenEdge {
-			if nb := tb.takenBlk; nb != nil && nb.addr == nextPC {
-				next = nb
-			}
-		} else if nb := tb.fallBlk; nb != nil && nb.addr == nextPC {
-			next = nb
-		}
-		if next == nil && tb.itab != nil {
-			if nb := tb.itab[nextPC&(indirectWays-1)]; nb != nil && nb.addr == nextPC {
-				next = nb
-				tb.takenBlk = nb
-			}
-		}
-		if next == nil {
-			if next = e.lookup(nextPC); next != nil {
-				e.chain(tb, takenEdge, next)
-			}
+		if id := uint(o.next); id < uint(len(blocks)) {
+			next = blocks[id]
 		}
 
 		if perf != nil {
+			cost := int(tb.costSum)
 			switch {
 			case tb.frozen && curNode != nil && curNode.addr == tb.addr:
-				perf.ChargeOptimizedBlock(int(tb.costSum))
+				c := pp.OptimizedCost(cost)
+				optimized += c
+				cycles += c
 			case tb.frozen:
-				perf.ChargeOffTraceBlock(int(tb.costSum))
+				c := pp.OffTraceCost(cost)
+				offTrace += c
+				cycles += c
 			case sampledEvent:
-				perf.ChargeQuickBlock(int(tb.costSum))
+				q := pp.QuickCost(cost)
+				quick += q
+				prof += pp.ProfOverhead
+				cycles += q + pp.ProfOverhead
 			default:
-				perf.ChargeQuickBlockUnprofiled(int(tb.costSum))
+				q := pp.QuickCost(cost)
+				quick += q
+				cycles += q
 			}
 		}
 		if optimize {
 			if rt := curRegion; rt != nil {
-				// trackRegion, inlined: advance the cursor along the
-				// fired edge; leaving the region is the cold path.
+				// Advance the region cursor along the fired edge;
+				// leaving the region is the cold path.
 				node := curNode
-				if node == nil || node.addr != tb.addr {
-					e.curRegion = rt
-					e.leaveRegion(false)
-					curRegion, curNode = nil, nil
-				} else {
-					var nn *rtNode
+				leave, completed := true, false
+				if node != nil && node.addr == tb.addr {
+					nn := node.fall
 					if takenEdge {
 						nn = node.taken
-					} else {
-						nn = node.fall
 					}
 					switch {
 					case nn == nil:
-						e.curRegion = rt
-						e.leaveRegion(rt.r.Kind == profile.RegionTrace && node == rt.last)
-						curRegion, curNode = nil, nil
+						completed = node == rt.completes
 					case nn == rt.entry:
 						e.stats.RegionLoopBacks++
 						rt.loopBacks++
-						curNode = nn
+						curNode, leave = nn, false
 					default:
-						curNode = nn
+						curNode, leave = nn, false
 					}
+				}
+				if leave {
+					// leaveRegion, inlined: only adaptive dissolution
+					// calls out.
+					if completed {
+						e.stats.RegionCompletions++
+						rt.completions++
+					} else {
+						e.stats.RegionSideExits++
+						rt.sideExits++
+						if perf != nil {
+							penalty += pp.SideExitPenalty
+							cycles += pp.SideExitPenalty
+						}
+						if adaptive {
+							e.curRegion, e.curNode = nil, nil
+							if perf != nil {
+								perf.SetExecTallies(cycles, quick, prof, optimized, offTrace, penalty)
+							}
+							e.maybeDissolve(rt)
+							if perf != nil {
+								cycles, quick, prof, optimized, offTrace, penalty = perf.ExecTallies()
+							}
+						}
+					}
+					curRegion, curNode = nil, nil
 				}
 			}
 			if next != nil && curRegion == nil && next.regionEntry != nil {
@@ -530,28 +622,48 @@ func (e *Engine) drainBatch(batch []outcome) error {
 			break
 		}
 		if next == nil {
+			if perf != nil {
+				perf.SetExecTallies(cycles, quick, prof, optimized, offTrace, penalty)
+			}
 			var err error
-			next, err = e.translate(nextPC)
+			next, err = e.translate(int(o.nextPC))
+			if perf != nil {
+				cycles, quick, prof, optimized, offTrace, penalty = perf.ExecTallies()
+			}
+			if err == nil && next.id != o.next {
+				err = fmt.Errorf("dbt: follower translated block at %d as id %d, driver recorded id %d", next.addr, next.id, o.next)
+			}
 			if err != nil {
 				processed, retErr = i+1, err
 				break
 			}
-			e.chain(tb, takenEdge, next)
+			blocks = e.blocks
 		}
 		cur = next
 	}
 	// Flush: processed entries are the fully pre-counted blocks; an
-	// erroring preExec increments the block count afterwards but never
-	// reaches the poll tick, exactly like preExec's early returns.
+	// erroring step increments the block count afterwards but never
+	// reaches the poll tick.
 	const period = uint64(interruptCheckMask + 1)
+	if processed != n {
+		sums = sumBatch(e.blocks, first, batch[:processed])
+	}
+	fastN := uint64(0)
+	if e.fastPath {
+		fastN = sums.lowered
+	}
 	e.cur = cur
 	e.curRegion, e.curNode = curRegion, curNode
 	e.sampleGap = gap
-	e.stats.Instructions += instr
+	e.stats.Instructions += sums.instr
 	e.stats.FastDispatches += fastN
-	e.stats.GenericDispatches += genN
+	e.stats.GenericDispatches += processed - fastN
+	e.stats.CacheLookups += sums.lookups
 	e.stats.BlocksExecuted = start + processed
 	e.stats.InterruptPolls += (start+processed)/period - start/period
+	if perf != nil {
+		perf.SetExecTallies(cycles, quick, prof, optimized, offTrace, penalty)
+	}
 	if retErr != nil {
 		return retErr
 	}

@@ -63,6 +63,23 @@ func DefaultParams() Params {
 	}
 }
 
+// The per-execution costs of a block whose instructions sum to cost
+// guest cycles, one per execution class. The Charge*Block methods add
+// them to an Accumulator; a replay loop that holds the tallies in
+// locals (see ExecTallies) adds the same values in the same order.
+
+// QuickCost is the execution cost of one run of a quick-translated
+// block, before any per-execution profiling overhead.
+func (p *Params) QuickCost(cost int) float64 { return p.QuickFactor * float64(cost) }
+
+// OptimizedCost is the execution cost of one run of an optimized block
+// on its region's expected path.
+func (p *Params) OptimizedCost(cost int) float64 { return p.OptFactor * float64(cost) }
+
+// OffTraceCost is the execution cost of one run of a retranslated block
+// outside any region context.
+func (p *Params) OffTraceCost(cost int) float64 { return p.OffTraceFactor * float64(cost) }
+
 // Accumulator tallies the simulated cycles of one run.
 type Accumulator struct {
 	p Params
@@ -86,6 +103,23 @@ func NewAccumulator(p Params) *Accumulator {
 // Params returns the parameters in use.
 func (a *Accumulator) Params() Params { return a.p }
 
+// ExecTallies returns the running total and the tallies that block
+// executions and side exits charge: quick, profile, optimized,
+// off-trace and penalty cycles. A hot loop may hold them in locals
+// across many executions and hand them back with SetExecTallies before
+// anything else charges the accumulator.
+func (a *Accumulator) ExecTallies() (cycles, quick, profile, optimized, offTrace, penalty float64) {
+	return a.Cycles, a.QuickCycles, a.ProfileCycles, a.OptimizedCycles, a.OffTraceCycles, a.PenaltyCycles
+}
+
+// SetExecTallies stores tallies taken with ExecTallies and advanced by
+// the same costs, in the same order, that the Charge*Block and
+// ChargeSideExit methods add.
+func (a *Accumulator) SetExecTallies(cycles, quick, profile, optimized, offTrace, penalty float64) {
+	a.Cycles, a.QuickCycles, a.ProfileCycles = cycles, quick, profile
+	a.OptimizedCycles, a.OffTraceCycles, a.PenaltyCycles = optimized, offTrace, penalty
+}
+
 // ChargeTranslate records the one-time quick translation of a block of n
 // instructions.
 func (a *Accumulator) ChargeTranslate(n int) {
@@ -105,7 +139,7 @@ func (a *Accumulator) ChargeOptimize(n int) {
 // ChargeQuickBlock records one execution of a profiling-mode block whose
 // instructions sum to cost guest cycles.
 func (a *Accumulator) ChargeQuickBlock(cost int) {
-	q := a.p.QuickFactor * float64(cost)
+	q := a.p.QuickCost(cost)
 	a.QuickCycles += q
 	a.ProfileCycles += a.p.ProfOverhead
 	a.Cycles += q + a.p.ProfOverhead
@@ -117,7 +151,7 @@ func (a *Accumulator) ChargeQuickBlock(cost int) {
 // so the per-execution ProfOverhead is not paid. This is the cost side
 // of the sampling frontier (dbt.Config.SamplePeriod).
 func (a *Accumulator) ChargeQuickBlockUnprofiled(cost int) {
-	q := a.p.QuickFactor * float64(cost)
+	q := a.p.QuickCost(cost)
 	a.QuickCycles += q
 	a.Cycles += q
 }
@@ -125,7 +159,7 @@ func (a *Accumulator) ChargeQuickBlockUnprofiled(cost int) {
 // ChargeOptimizedBlock records one execution of an optimized block on
 // its region's expected path.
 func (a *Accumulator) ChargeOptimizedBlock(cost int) {
-	c := a.p.OptFactor * float64(cost)
+	c := a.p.OptimizedCost(cost)
 	a.OptimizedCycles += c
 	a.Cycles += c
 }
@@ -133,7 +167,7 @@ func (a *Accumulator) ChargeOptimizedBlock(cost int) {
 // ChargeOffTraceBlock records one execution of a retranslated block
 // outside any region context.
 func (a *Accumulator) ChargeOffTraceBlock(cost int) {
-	c := a.p.OffTraceFactor * float64(cost)
+	c := a.p.OffTraceCost(cost)
 	a.OffTraceCycles += c
 	a.Cycles += c
 }
