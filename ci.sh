@@ -20,6 +20,12 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
+echo "== perfbench module =="
+# perfbench is a nested module, so the root ./... skips it; vet and test
+# it here so a resultcache or core API change cannot break the
+# benchmark unseen.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== trace smoke (-race) =="
 # The flight recorder must survive full pool parallelism: record a
 # tiny-scale study under the race detector, then parse and summarize
@@ -342,9 +348,25 @@ cmp "$servedir/cold.json" "$servedir/warm.json"
 # Overload: a slow compare holds the single execution slot
 # (-maxinflight 1, waiting disabled); a differently-keyed request
 # arriving meanwhile is answered 429 with Retry-After, not queued.
+compare_requests() {
+    curl -s "$base/v1/metrics" | sed -n 's/^inipd_compare_requests_total //p'
+}
+before=$(compare_requests)
 curl -sf -o "$servedir/slow.json" \
     -d '{"bench":"gzip","t":100,"scale":0.05}' "$base/v1/compare" &
 slowpid=$!
+# Burst only once the slow compare has reached the daemon: a burst
+# request that got there first would take the slot itself and turn the
+# slow one away, leaving nothing to overload.
+_i=0
+while [ "$(compare_requests)" -le "$before" ]; do
+    _i=$((_i + 1))
+    if [ "$_i" -gt 500 ]; then
+        echo "slow compare never reached the daemon" >&2
+        exit 1
+    fi
+    sleep 0.01
+done
 saw429=0
 _i=0
 while [ "$_i" -lt 100 ]; do
@@ -546,5 +568,6 @@ go test -run='^$' -fuzz='^FuzzCheckpointDecode$' -fuzztime=10s ./internal/study/
 go test -run='^$' -fuzz='^FuzzExecPaths$' -fuzztime=10s ./internal/dbt/
 go test -run='^$' -fuzz='^FuzzPredictReplay$' -fuzztime=10s ./internal/dbt/
 go test -run='^$' -fuzz='^FuzzSampledReplay$' -fuzztime=10s ./internal/dbt/
+go test -run='^$' -fuzz='^FuzzDecodeEntry$' -fuzztime=10s ./internal/resultcache/
 
 echo "CI OK"

@@ -37,6 +37,12 @@ import (
 	"repro/internal/serve"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so a slow or stalled client cannot hold a
+// connection open indefinitely. It is not a flag: no legitimate client
+// needs longer.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -121,7 +127,7 @@ func run(args []string, stdout, stderr io.Writer, sig <-chan os.Signal) int {
 			return 1
 		}
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	fmt.Fprintf(stderr, "inipd: listening on %s\n", bound)

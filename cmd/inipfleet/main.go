@@ -48,6 +48,12 @@ import (
 	"repro/internal/study"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its
+// request headers, so a slow or stalled client cannot hold a
+// connection open indefinitely. It is not a flag: no legitimate client
+// needs longer.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -199,7 +205,7 @@ func runCoordinator(cfg fleet.Config, addr, addrFile, figJSON, traceFile string,
 			return 1
 		}
 	}
-	httpSrv := &http.Server{Handler: c.Handler()}
+	httpSrv := &http.Server{Handler: c.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 	fmt.Fprintf(stderr, "inipfleet: coordinator listening on %s\n", bound)

@@ -99,6 +99,40 @@ type spEntry struct {
 	Runs   []runOutput `json:"runs"`
 }
 
+// lookupEntry is Store.Lookup plus shape restoration. The store's gob
+// value codec decodes an empty slice as nil, while the producers above
+// always allocate BenchData.Sites and the Runs ladders; an entry's
+// restore method puts that shape back after a hit, so a cached value is
+// indistinguishable from a computed one to json.Marshal (-cacheverify)
+// and reflect.DeepEqual. (gob keeps empty maps such as Snapshot.Blocks
+// non-nil on its own.)
+func lookupEntry(store *resultcache.Store, k resultcache.Key, v any) bool {
+	if !store.Lookup(k, v) {
+		return false
+	}
+	if r, ok := v.(interface{ restore() }); ok {
+		r.restore()
+	}
+	return true
+}
+
+func (e *refEntry) restore() { e.Runs = restoreRuns(e.Runs) }
+
+func (e *spEntry) restore() { e.Runs = restoreRuns(e.Runs) }
+
+func (e *lsEntry) restore() {
+	if e.Data.Sites == nil {
+		e.Data.Sites = []learned.Site{}
+	}
+}
+
+func restoreRuns(runs []runOutput) []runOutput {
+	if runs == nil {
+		return []runOutput{}
+	}
+	return runs
+}
+
 // cacheUsable reports whether this benchmark's units may consult the
 // result cache at all. Fault plans perturb runs, and a target without a
 // declarative tape identity leaves the key closure incomplete — in both
@@ -126,7 +160,7 @@ func (b *benchRun) cacheKey(kind, imgHash, tape, engine string, t uint64) result
 // event, so traces show where warm runs got their data.
 func (b *benchRun) cacheLookup(k resultcache.Key, v any, worker int) bool {
 	start := time.Now()
-	hit := b.opts.Cache.Lookup(k, v)
+	hit := lookupEntry(b.opts.Cache, k, v)
 	unit := obs.UnitCacheMiss
 	if hit {
 		unit = obs.UnitCacheHit

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
 	"os"
@@ -11,6 +13,9 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
+	"repro/internal/learned"
+	"repro/internal/predict"
+	"repro/internal/profile"
 	"repro/internal/resultcache"
 )
 
@@ -189,9 +194,10 @@ func TestCacheVerifyCatchesForgedEntry(t *testing.T) {
 	opts, _ := cacheOpts(t, dir)
 	runCached(t, target, opts)
 
-	// Forge a comparison entry: decode its envelope, perturb the cached
-	// summary, recompute the checksum so the store itself accepts it.
-	// Only the differential verify mode can catch this.
+	// Forge a comparison entry: decode its value, perturb the cached
+	// summary, re-encode it and recompute the header checksum so the
+	// store itself accepts it. Only the differential verify mode can
+	// catch this.
 	forged := false
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -199,37 +205,26 @@ func TestCacheVerifyCatchesForgedEntry(t *testing.T) {
 	}
 	for _, e := range entries {
 		p := filepath.Join(dir, e.Name())
-		data, err := os.ReadFile(p)
+		h, value := readEntryFile(t, p)
+		if !strings.Contains(h.Key, "kind=cmp") {
+			continue
+		}
+		var val cmpEntry
+		if err := gob.NewDecoder(bytes.NewReader(value)).Decode(&val); err != nil {
+			t.Fatal(err)
+		}
+		val.Summary.SdBP = 0.123456789
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(val); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		h.Sum = hex.EncodeToString(sum[:])
+		line, err := json.Marshal(h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var env struct {
-			Schema int             `json:"schema"`
-			Key    string          `json:"key"`
-			Sum    string          `json:"sum"`
-			Value  json.RawMessage `json:"value"`
-		}
-		if err := json.Unmarshal(data, &env); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(env.Key, "kind=cmp") {
-			continue
-		}
-		var val struct {
-			Summary map[string]any `json:"summary"`
-		}
-		if err := json.Unmarshal(env.Value, &val); err != nil {
-			t.Fatal(err)
-		}
-		val.Summary["SdBP"] = 0.123456789
-		if env.Value, err = json.Marshal(val); err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(env.Value)
-		env.Sum = hex.EncodeToString(sum[:])
-		if data, err = json.Marshal(env); err != nil {
-			t.Fatal(err)
-		}
+		data := append(append(line, '\n'), buf.Bytes()...)
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -256,6 +251,32 @@ func TestCacheVerifyCatchesForgedEntry(t *testing.T) {
 	}
 }
 
+// entryHeader mirrors the JSON header line of a result-cache entry.
+type entryHeader struct {
+	Schema int    `json:"schema"`
+	Key    string `json:"key"`
+	Sum    string `json:"sum"`
+}
+
+// readEntryFile splits a result-cache entry file into its parsed header
+// line and the gob value bytes after it.
+func readEntryFile(t *testing.T, path string) (entryHeader, []byte) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line, value, ok := bytes.Cut(data, []byte{'\n'})
+	if !ok {
+		t.Fatalf("%s: no header line", path)
+	}
+	var h entryHeader
+	if err := json.Unmarshal(line, &h); err != nil {
+		t.Fatalf("%s: header: %v", path, err)
+	}
+	return h, value
+}
+
 func TestCacheSkippedUnderFaultPlan(t *testing.T) {
 	plan, err := faultinject.Parse("slow:other/ref:1ms")
 	if err != nil {
@@ -277,5 +298,170 @@ func TestCacheSkippedWithoutTapeID(t *testing.T) {
 	runCached(t, target, opts)
 	if c := opts.Cache.Counters(); c != (resultcache.Counters{}) {
 		t.Fatalf("cache touched without a tape identity: %+v", c)
+	}
+}
+
+// allAxesCacheOpts extends cacheOpts so a run stores every cache kind:
+// ref and cmp (reference ladder), run and traincmp (training), bp
+// (predictors), sp (sampled ladders) and ls (learned collection).
+func allAxesCacheOpts(t *testing.T, dir string) (Options, *Timing) {
+	t.Helper()
+	opts, tm := cacheOpts(t, dir)
+	opts.Predictors = predict.Names()
+	opts.SamplePeriods = []uint64{4}
+	lc := learned.DefaultConfig()
+	opts.Learned = &lc
+	return opts, tm
+}
+
+// cacheKinds maps every cache kind to a fresh decode target.
+var cacheKinds = map[string]func() any{
+	"ref":      func() any { return new(refEntry) },
+	"run":      func() any { return new(runOutput) },
+	"cmp":      func() any { return new(cmpEntry) },
+	"traincmp": func() any { return new(trainCmpEntry) },
+	"bp":       func() any { return new(bpEntry) },
+	"sp":       func() any { return new(spEntry) },
+	"ls":       func() any { return new(lsEntry) },
+}
+
+// TestCacheEntryKindsRoundTrip takes a real value of every cache kind
+// from a tiny study, plus shapes with empty slices and maps, and checks
+// that Put then Lookup reproduces it exactly as -cacheverify sees it
+// (json.Marshal). It also checks, per kind, that a v2-format JSON entry
+// at the key's path is a counted miss that the next Put replaces.
+func TestCacheEntryKindsRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	target := BuildFromAsm("stationary", stationarySrc(3000, 6144))
+	opts, _ := allAxesCacheOpts(t, dir)
+	runCached(t, target, opts)
+
+	values := map[string][]any{}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		h, value := readEntryFile(t, filepath.Join(dir, e.Name()))
+		kind := strings.TrimPrefix(strings.Split(h.Key, "|")[1], "kind=")
+		newEntry, ok := cacheKinds[kind]
+		if !ok {
+			t.Fatalf("entry of unknown kind %q", kind)
+		}
+		v := newEntry()
+		if err := gob.NewDecoder(bytes.NewReader(value)).Decode(v); err != nil {
+			t.Fatalf("stored %s entry: %v", kind, err)
+		}
+		if r, ok := v.(interface{ restore() }); ok {
+			r.restore()
+		}
+		values[kind] = append(values[kind], v)
+	}
+	for kind := range cacheKinds {
+		if len(values[kind]) == 0 {
+			t.Fatalf("the study stored no %s entry", kind)
+		}
+	}
+
+	// The producers' empty shapes: allocated-but-empty slices (gob
+	// decodes them as nil) and maps, and the predictor list's nil.
+	emptySnap := func() *profile.Snapshot { return profile.NewSnapshot("p", "ref", 0, false) }
+	values["ref"] = append(values["ref"], &refEntry{AVEP: emptySnap(), Runs: []runOutput{}})
+	values["run"] = append(values["run"], &runOutput{Snapshot: emptySnap()})
+	values["sp"] = append(values["sp"], &spEntry{Period: 4, Runs: []runOutput{}},
+		&spEntry{Period: 4, Runs: []runOutput{{T: 4, Snapshot: emptySnap()}}})
+	values["ls"] = append(values["ls"], &lsEntry{Fingerprint: "f", Data: learned.BenchData{Bench: "b", Sites: []learned.Site{}}})
+	values["bp"] = append(values["bp"], &bpEntry{})
+	values["cmp"] = append(values["cmp"], &cmpEntry{})
+	values["traincmp"] = append(values["traincmp"], &trainCmpEntry{})
+
+	store, err := resultcache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for kind, vs := range values {
+		for i, want := range vs {
+			k := resultcache.Key{Kind: kind, Image: "img", T: uint64(i)}
+			if err := store.Put(k, want); err != nil {
+				t.Fatal(err)
+			}
+			got := cacheKinds[kind]()
+			if !lookupEntry(store, k, got) {
+				t.Fatalf("%s value %d: miss after Put", kind, i)
+			}
+			wj, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gj, err := json.Marshal(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(wj, gj) {
+				t.Errorf("%s value %d changed in the round trip:\nput    %s\nlookup %s", kind, i, wj, gj)
+			}
+
+			// Stale schema: the pre-gob JSON envelope at the same path.
+			legacy, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(legacy)
+			v2, err := json.Marshal(map[string]any{
+				"schema": 2, "key": k.Fingerprint(), "sum": hex.EncodeToString(sum[:]),
+				"value": json.RawMessage(legacy),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(store.Dir(), k.Hash()+".json")
+			if err := os.WriteFile(path, append(v2, '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := store.Counters()
+			if lookupEntry(store, k, cacheKinds[kind]()) {
+				t.Fatalf("%s value %d: v2 entry served as a hit", kind, i)
+			}
+			after := store.Counters()
+			if after.Errors != before.Errors+1 || after.Misses != before.Misses+1 {
+				t.Fatalf("%s value %d: v2 entry counted %+v -> %+v, want one error and one miss", kind, i, before, after)
+			}
+			if err := store.Put(k, want); err != nil {
+				t.Fatal(err)
+			}
+			if !lookupEntry(store, k, cacheKinds[kind]()) {
+				t.Fatalf("%s value %d: Put did not replace the v2 entry", kind, i)
+			}
+		}
+	}
+}
+
+// TestCacheVerifyAllKinds is the end-to-end form of the round trip:
+// a warm verify-mode rerun with every axis on recomputes each unit and
+// compares it to the cached value of every kind, so any value the codec
+// does not reproduce exactly fails the run.
+func TestCacheVerifyAllKinds(t *testing.T) {
+	dir := t.TempDir()
+	target := BuildFromAsm("stationary", stationarySrc(3000, 6144))
+	opts, _ := allAxesCacheOpts(t, dir)
+	cold := runCached(t, target, opts)
+
+	opts2, _ := allAxesCacheOpts(t, dir)
+	warm := runCached(t, target, opts2)
+	if c := opts2.Cache.Counters(); c.Misses != 0 || c.Errors != 0 {
+		t.Fatalf("warm counters %+v, want only hits", c)
+	}
+	if !reflect.DeepEqual(cold, warm) {
+		t.Fatal("warm all-axes result differs from cold")
+	}
+
+	opts3, _ := allAxesCacheOpts(t, dir)
+	opts3.CacheVerify = true
+	verified := runCached(t, target, opts3)
+	if c := opts3.Cache.Counters(); c.Hits == 0 || c.Errors != 0 {
+		t.Fatalf("verify counters %+v, want hits and no errors", c)
+	}
+	if !reflect.DeepEqual(cold, verified) {
+		t.Fatal("verify-mode all-axes result differs from cold")
 	}
 }

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -756,9 +757,22 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // --- small HTTP helpers ---
 
+// maxRequestBody bounds every JSON request body. The largest
+// legitimate request, a completion carrying one benchmark's series with
+// every study axis on, is tens of KB.
+const maxRequestBody = 1 << 20
+
+// decode decodes a JSON request body of at most maxRequestBody bytes.
+// On failure it answers 413 (body too large) or 400 and returns false.
 func decode(w http.ResponseWriter, r *http.Request, into any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
 	if err := json.NewDecoder(r.Body).Decode(into); err != nil {
-		httpError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, status, "bad request body: "+err.Error())
 		return false
 	}
 	return true

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -374,5 +375,27 @@ func TestFleetHTTPEndpoints(t *testing.T) {
 	}
 	if !strings.Contains(get("/healthz"), "ok") {
 		t.Fatal("healthz did not answer ok")
+	}
+}
+
+// TestFleetRequestBodyTooLarge: every coordinator endpoint that reads a
+// JSON body answers 413 once the body passes maxRequestBody, before
+// touching lease state.
+func TestFleetRequestBodyTooLarge(t *testing.T) {
+	c, _ := manualCoordinator(t, 1, 0)
+	defer c.Close()
+	c.enqueue("gzip")
+	pad := strings.Repeat("a", maxRequestBody)
+	for _, path := range []string{"/v1/fleet/lease", "/v1/fleet/heartbeat", "/v1/fleet/complete"} {
+		body := `{"worker":"` + pad + `","lease_id":"` + pad + `"}`
+		req := httptest.NewRequest("POST", path, strings.NewReader(body))
+		w := httptest.NewRecorder()
+		c.Handler().ServeHTTP(w, req)
+		if w.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with an oversized body: %d %s", path, w.Code, w.Body)
+		}
+	}
+	if u := unitState(c, "gzip"); u.Attempts != 0 {
+		t.Fatalf("oversized requests touched the unit: %+v", u)
 	}
 }

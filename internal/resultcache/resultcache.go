@@ -10,26 +10,41 @@
 // closure (fault-injected runs, targets without a declared tape
 // identity) must simply not be cached; the store never guesses.
 //
+// Each entry is one file, <hash>.json, holding a one-line JSON header
+// — {"schema","key","sum"} — followed by the value encoded with
+// encoding/gob. The header stays text so `head -1 <entry>` shows what
+// an entry is; the value is binary because decoding profile snapshots
+// from JSON scans every byte as text before reflection even starts.
+// gob writes map entries in iteration order, so entry bytes are not
+// reproducible across writes of the same value; nothing compares them.
+// gob also omits zero fields and decodes an empty slice as nil (an
+// empty map stays non-nil), so callers whose values distinguish empty
+// from nil slices restore that shape after a hit.
+//
 // The on-disk format is defensive in both directions:
 //
 //   - writes go through internal/atomicio, so a crash mid-store leaves
 //     either the old entry or the new one, never a torn file;
-//   - reads validate an integrity envelope — schema version, the full
-//     key fingerprint (not just its hash) and a checksum over the
-//     value bytes — so truncated, bit-flipped or stale-schema entries
-//     are treated as misses (re-execute, rewrite), never as data.
+//   - reads validate the header — schema version, the full key
+//     fingerprint (not just its hash) and a checksum over the value
+//     bytes — before decoding, so truncated, bit-flipped or
+//     stale-schema entries are treated as misses (re-execute,
+//     rewrite), never as data.
 //
 // All methods are safe for concurrent use and safe on a nil *Store
 // (caching off), so call sites need no guards.
 package resultcache
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/gob"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 
@@ -44,7 +59,10 @@ import (
 // v2: RunStats.CacheLookups semantics changed (the indirect-target
 // table resolves jr/ret successors without a code-cache probe), so v1
 // entries' stats would fail -cacheverify against a fresh run.
-const SchemaVersion = 2
+//
+// v3: the value after the header line is gob instead of JSON (and the
+// header no longer wraps it), so a v2 file fails the schema check.
+const SchemaVersion = 3
 
 // Key identifies one cached unit output. Every field participates in
 // the canonical fingerprint; the zero value is not a usable key (Lookup
@@ -181,24 +199,24 @@ func (s *Store) Counters() Counters {
 	}
 }
 
-// envelope is the on-disk entry wrapper: everything Lookup needs to
-// decide whether the value bytes are trustworthy before decoding them.
-type envelope struct {
+// header is the first line of every entry file: everything Lookup
+// needs to decide whether the value bytes that follow are trustworthy
+// before decoding them.
+type header struct {
 	// Schema is the cache schema version the entry was written under.
 	Schema int `json:"schema"`
 	// Key is the full canonical fingerprint — stored verbatim so a
 	// hash collision (or a mangled filename) can never serve a value
 	// for the wrong key.
 	Key string `json:"key"`
-	// Sum is the hex SHA-256 over the exact Value bytes.
+	// Sum is the hex SHA-256 over the exact gob value bytes after the
+	// header line.
 	Sum string `json:"sum"`
-	// Value is the cached unit output, opaque to the store.
-	Value json.RawMessage `json:"value"`
 }
 
 func (s *Store) path(k Key) string { return filepath.Join(s.dir, k.Hash()+".json") }
 
-// Lookup loads the entry for k into v (a JSON-decodable pointer) and
+// Lookup loads the entry for k into v (a gob-decodable pointer) and
 // reports whether a validated entry was found. Anything wrong with the
 // stored entry — unreadable, truncated, checksum or key mismatch,
 // stale schema, undecodable value — is a miss (counted in Errors as
@@ -231,28 +249,43 @@ func (s *Store) Lookup(k Key, v any) bool {
 	return true
 }
 
-// decodeEntry validates the envelope and decodes the value. Every
+// decodeEntry validates the header and decodes the value. Every
 // failure mode collapses to an error — the caller treats them all as
 // a miss — but the checks are ordered so the cheapest guards run
-// first.
+// first, and v is only assigned once the whole value has decoded.
 func decodeEntry(data []byte, k Key, v any) error {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return fmt.Errorf("resultcache: entry %s: %w", k.Hash(), err)
+	nl := bytes.IndexByte(data, '\n')
+	if nl < 0 {
+		return fmt.Errorf("resultcache: entry %s: no header line", k.Hash())
 	}
-	if env.Schema != SchemaVersion {
-		return fmt.Errorf("resultcache: entry %s: schema %d, want %d", k.Hash(), env.Schema, SchemaVersion)
+	var h header
+	if err := json.Unmarshal(data[:nl], &h); err != nil {
+		return fmt.Errorf("resultcache: entry %s: header: %w", k.Hash(), err)
 	}
-	if env.Key != k.Fingerprint() {
+	if h.Schema != SchemaVersion {
+		return fmt.Errorf("resultcache: entry %s: schema %d, want %d", k.Hash(), h.Schema, SchemaVersion)
+	}
+	if h.Key != k.Fingerprint() {
 		return fmt.Errorf("resultcache: entry %s: key fingerprint mismatch", k.Hash())
 	}
-	sum := sha256.Sum256(env.Value)
-	if hex.EncodeToString(sum[:]) != env.Sum {
+	value := data[nl+1:]
+	sum := sha256.Sum256(value)
+	if hex.EncodeToString(sum[:]) != h.Sum {
 		return fmt.Errorf("resultcache: entry %s: value checksum mismatch", k.Hash())
 	}
-	if err := json.Unmarshal(env.Value, v); err != nil {
+	dst := reflect.ValueOf(v)
+	if dst.Kind() != reflect.Pointer || dst.IsNil() {
+		return fmt.Errorf("resultcache: entry %s: decode into non-pointer %T", k.Hash(), v)
+	}
+	fresh := reflect.New(dst.Elem().Type())
+	r := bytes.NewReader(value)
+	if err := gob.NewDecoder(r).DecodeValue(fresh); err != nil {
 		return fmt.Errorf("resultcache: entry %s: value: %w", k.Hash(), err)
 	}
+	if r.Len() != 0 {
+		return fmt.Errorf("resultcache: entry %s: %d trailing value bytes", k.Hash(), r.Len())
+	}
+	dst.Elem().Set(fresh.Elem())
 	return nil
 }
 
@@ -276,23 +309,23 @@ func (s *Store) Put(k Key, v any) error {
 		s.healFails.Add(1)
 		return nil
 	}
-	value, err := json.Marshal(v)
-	if err != nil {
+	var value bytes.Buffer
+	if err := gob.NewEncoder(&value).Encode(v); err != nil {
 		s.errs.Add(1)
 		return fmt.Errorf("resultcache: encode %s: %w", k.Hash(), err)
 	}
-	sum := sha256.Sum256(value)
-	data, err := json.Marshal(envelope{
+	sum := sha256.Sum256(value.Bytes())
+	data, err := json.Marshal(header{
 		Schema: SchemaVersion,
 		Key:    k.Fingerprint(),
 		Sum:    hex.EncodeToString(sum[:]),
-		Value:  value,
 	})
 	if err != nil {
 		s.errs.Add(1)
 		return fmt.Errorf("resultcache: encode %s: %w", k.Hash(), err)
 	}
-	if err := atomicio.WriteFile(s.path(k), append(data, '\n'), 0o644); err != nil {
+	data = append(append(data, '\n'), value.Bytes()...)
+	if err := atomicio.WriteFile(s.path(k), data, 0o644); err != nil {
 		s.healFails.Add(1)
 		if s.readOnly.CompareAndSwap(false, true) {
 			// First failure wins the race to report; latecomers that

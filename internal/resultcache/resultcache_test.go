@@ -1,6 +1,9 @@
 package resultcache
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -244,12 +247,12 @@ func TestCorruptEntriesAreMisses(t *testing.T) {
 		{"truncated", func(d []byte) []byte { return d[:len(d)/2] }},
 		{"empty", func(d []byte) []byte { return nil }},
 		{"garbage", func(d []byte) []byte { return []byte("not json at all") }},
+		{"headerless", func(d []byte) []byte { return d[bytes.IndexByte(d, '\n')+1:] }},
 		{"bitflip", func(d []byte) []byte {
 			out := append([]byte(nil), d...)
-			// Flip a bit inside the value region: the envelope still
+			// Flip a bit inside the gob value: the header still
 			// parses, only the checksum can catch it.
-			i := strings.Index(string(out), `"value"`) + len(`"value"`) + 10
-			out[i] ^= 0x01
+			out[bytes.IndexByte(out, '\n')+10] ^= 0x01
 			return out
 		}},
 		{"wrong-version", func(d []byte) []byte {
@@ -328,7 +331,7 @@ func TestFloat64RoundTripExact(t *testing.T) {
 	}
 	k := testKey()
 	// Values with no short decimal representation must survive the
-	// JSON round trip bit-exactly — the cross-run DeepEqual contract
+	// round trip bit-exactly — the cross-run DeepEqual contract
 	// depends on it.
 	want := payload{Xs: []float64{1.0 / 3.0, 0.1, 2.2250738585072014e-308, 1.7976931348623157e308}}
 	if err := s.Put(k, want); err != nil {
@@ -346,8 +349,9 @@ func TestFloat64RoundTripExact(t *testing.T) {
 }
 
 func TestEnvelopeShapeStable(t *testing.T) {
-	// The envelope field names are part of the on-disk contract; a
-	// rename would orphan every existing cache. Pin them.
+	// The header line's field names are part of the on-disk contract; a
+	// rename would orphan every existing cache. Pin them, and pin that
+	// the header is exactly one line followed by the value bytes.
 	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -360,13 +364,27 @@ func TestEnvelopeShapeStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var env map[string]json.RawMessage
-	if err := json.Unmarshal(data, &env); err != nil {
+	line, value, ok := bytes.Cut(data, []byte{'\n'})
+	if !ok {
+		t.Fatal("entry has no header line")
+	}
+	var h map[string]json.RawMessage
+	if err := json.Unmarshal(line, &h); err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"schema", "key", "sum", "value"} {
-		if _, ok := env[field]; !ok {
-			t.Errorf("envelope lacks %q field", field)
+	for _, field := range []string{"schema", "key", "sum"} {
+		if _, ok := h[field]; !ok {
+			t.Errorf("header lacks %q field", field)
 		}
+	}
+	if len(h) != 3 {
+		t.Errorf("header has %d fields, want exactly schema, key, sum: %s", len(h), line)
+	}
+	if string(h["schema"]) != fmt.Sprint(SchemaVersion) {
+		t.Errorf("header schema %s, want %d", h["schema"], SchemaVersion)
+	}
+	sum := sha256.Sum256(value)
+	if want := `"` + hex.EncodeToString(sum[:]) + `"`; string(h["sum"]) != want {
+		t.Errorf("header sum %s does not cover the value bytes (%s)", h["sum"], want)
 	}
 }

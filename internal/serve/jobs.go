@@ -505,8 +505,7 @@ func (s *Server) handleStudy(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req studyRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		errorJSON(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	for _, name := range req.Benches {

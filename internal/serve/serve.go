@@ -32,6 +32,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -263,6 +264,27 @@ func (s *Server) Drain(timeout time.Duration) error {
 	}
 }
 
+// maxRequestBody bounds every JSON request body. The largest
+// legitimate request, a study with every benchmark named, is a few KB.
+const maxRequestBody = 1 << 20
+
+// decodeBody decodes a JSON request body of at most maxRequestBody
+// bytes into v. On failure it answers 413 (body too large) or 400 and
+// returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
+	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		errorJSON(w, status, "bad request body: %v", err)
+		return false
+	}
+	return true
+}
+
 // errorJSON writes a {"error": ...} body with the given status.
 func errorJSON(w http.ResponseWriter, status int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -475,8 +497,7 @@ type flight struct {
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	s.m.compareRequests.Add(1)
 	var req compareRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		errorJSON(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	bench := spec.ByName(strings.TrimSpace(req.Bench))

@@ -27,6 +27,15 @@ func newTestServer(t *testing.T, cfg Config, gate chan struct{}, calls *atomic.I
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A job goroutine can still be writing its state file after a test
+	// has observed the job's terminal state; draining first keeps it
+	// from racing the RemoveAll of a StateDir from t.TempDir (created
+	// before this cleanup, so removed after it).
+	t.Cleanup(func() {
+		if err := s.Drain(30 * time.Second); err != nil {
+			t.Error(err)
+		}
+	})
 	if gate != nil {
 		s.exec = func(key string, _ *spec.Benchmark, _, _ float64, _ []string, _ uint64, _ string) *compareOut {
 			calls.Add(1)
@@ -941,5 +950,43 @@ func TestCompareLearnedE2E(t *testing.T) {
 	presp.Body.Close()
 	if strings.Contains(string(praw), "learned") {
 		t.Fatalf("learned-less exposition mentions learned families:\n%s", praw)
+	}
+}
+
+// TestCompareBodyTooLarge: a compare body past maxRequestBody is
+// answered 413 without running anything; one just under the limit is
+// read in full and rejected on its content instead.
+func TestCompareBodyTooLarge(t *testing.T) {
+	var calls atomic.Int64
+	s := newTestServer(t, Config{Scale: 0.001}, make(chan struct{}), &calls)
+	w := postCompare(s, `{"bench":"`+strings.Repeat("a", maxRequestBody)+`","t":5}`)
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized compare body: %d %s", w.Code, w.Body)
+	}
+	w = postCompare(s, `{"bench":"`+strings.Repeat("a", maxRequestBody-64)+`","t":5}`)
+	if w.Code != http.StatusBadRequest {
+		t.Fatalf("large but bounded compare body: %d, want 400 for the unknown bench", w.Code)
+	}
+	if calls.Load() != 0 {
+		t.Fatal("a rejected compare reached exec")
+	}
+}
+
+// TestStudyBodyTooLarge: a study body past maxRequestBody is answered
+// 413 and creates no job.
+func TestStudyBodyTooLarge(t *testing.T) {
+	s := newTestServer(t, Config{Scale: 0.001, StateDir: t.TempDir()}, nil, nil)
+	body := `{"benches":["` + strings.Repeat("a", maxRequestBody) + `"]}`
+	req := httptest.NewRequest("POST", "/v1/study", strings.NewReader(body))
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, req)
+	if w.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized study body: %d %s", w.Code, w.Body)
+	}
+	req = httptest.NewRequest("GET", "/v1/jobs", nil)
+	w = httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, req)
+	if strings.Contains(w.Body.String(), `"id"`) {
+		t.Fatalf("oversized study body created a job: %s", w.Body)
 	}
 }
