@@ -379,31 +379,25 @@ func BenchmarkTranslatorThroughput(b *testing.B) {
 }
 
 // BenchmarkThresholdLadder measures a full reference sweep (AVEP plus a
-// five-threshold INIP ladder) over one benchmark, comparing the
-// shared-trace execution (one guest run feeding every profiling
-// context) with independent per-threshold runs.
+// five-threshold INIP ladder) over one benchmark: one guest run feeding
+// every profiling context. The sub-benchmark name is kept so results
+// stay comparable with earlier recorded runs.
 func BenchmarkThresholdLadder(b *testing.B) {
 	bench := spec.ByName("vortex")
 	thresholds := make([]uint64, 0, 5)
 	for _, pt := range []float64{100, 1e3, 1e4, 1e5, 1e6} {
 		thresholds = append(thresholds, study.EffectiveThreshold(pt, benchScale))
 	}
-	for _, mode := range []struct {
-		name        string
-		independent bool
-	}{{"shared", false}, {"independent", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.RunBenchmark(bench.Target(benchScale), core.Options{
-					Thresholds:      thresholds,
-					Workers:         1,
-					IndependentRuns: mode.independent,
-				}); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("shared", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := core.RunBenchmark(bench.Target(benchScale), core.Options{
+				Thresholds: thresholds,
+				Workers:    1,
+			}); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkPerfModel measures the cycle accumulator in isolation.

@@ -234,7 +234,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 		benchJSON = fs.String("benchjson", "", "append suite wall-clock, blocks/sec, per-phase timing and engine counters as a dated entry to the trajectory array in this file")
 		benchBase = fs.String("benchbase", "", "baseline for the -benchjson speedup: wall-clock seconds, or the path of a prior -benchjson record (its wall_seconds is used)")
-		indep     = fs.Bool("indep", false, "run each INIP(T) independently instead of replaying the shared reference trace")
 		par       = fs.Int("par", 0, "worker-pool size for run units (default: GOMAXPROCS)")
 
 		traceFile  = fs.String("trace", "", "write a flight-recorder event per pipeline unit as JSONL to this file")
@@ -329,14 +328,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := study.Config{
-		Scale:           *scale,
-		IndependentRuns: *indep,
-		Parallelism:     *par,
-		MaxAttempts:     *retry,
-		RetryBackoff:    *retryBackoff,
-		Checkpoint:      *checkpoint,
-		Resume:          *resume,
-		StopAfter:       *stopAfter,
+		Scale:        *scale,
+		Parallelism:  *par,
+		MaxAttempts:  *retry,
+		RetryBackoff: *retryBackoff,
+		Checkpoint:   *checkpoint,
+		Resume:       *resume,
+		StopAfter:    *stopAfter,
 	}
 	pol, perr := core.ParseFailurePolicy(*failPolicy)
 	if perr != nil {

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -89,25 +90,6 @@ func TestCacheDoesNotPerturbResults(t *testing.T) {
 	uncached := runCached(t, target, plain)
 	if !reflect.DeepEqual(withCache, uncached) {
 		t.Fatal("cold cached run differs from an uncached run")
-	}
-}
-
-func TestCacheIndependentRunsMode(t *testing.T) {
-	dir := t.TempDir()
-	target := BuildFromAsm("phased", phasedSrc(4000, 1000, 7782, 819))
-
-	opts, _ := cacheOpts(t, dir)
-	opts.IndependentRuns = true
-	cold := runCached(t, target, opts)
-
-	opts2, tm2 := cacheOpts(t, dir)
-	opts2.IndependentRuns = true
-	warm := runCached(t, target, opts2)
-	if n := tm2.BlocksExecuted.Load(); n != 0 {
-		t.Fatalf("warm independent-runs run executed %d blocks, want 0", n)
-	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Fatal("warm independent-runs result differs from cold")
 	}
 }
 
@@ -194,50 +176,14 @@ func TestCacheVerifyCatchesForgedEntry(t *testing.T) {
 	opts, _ := cacheOpts(t, dir)
 	runCached(t, target, opts)
 
-	// Forge a comparison entry: decode its value, perturb the cached
-	// summary, re-encode it and recompute the header checksum so the
-	// store itself accepts it. Only the differential verify mode can
-	// catch this.
-	forged := false
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		p := filepath.Join(dir, e.Name())
-		h, value := readEntryFile(t, p)
-		if !strings.Contains(h.Key, "kind=cmp") {
-			continue
-		}
-		var val cmpEntry
-		if err := gob.NewDecoder(bytes.NewReader(value)).Decode(&val); err != nil {
-			t.Fatal(err)
-		}
-		val.Summary.SdBP = 0.123456789
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(val); err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(buf.Bytes())
-		h.Sum = hex.EncodeToString(sum[:])
-		line, err := json.Marshal(h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data := append(append(line, '\n'), buf.Bytes()...)
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		forged = true
-		break
-	}
-	if !forged {
-		t.Fatal("no cmp entry found to forge")
-	}
+	// Forge a comparison entry the store itself accepts: only the
+	// differential verify mode can catch this.
+	var val cmpEntry
+	forgeEntry(t, dir, "cmp", &val, func() { val.Summary.SdBP = 0.123456789 })
 
 	opts2, _ := cacheOpts(t, dir)
 	opts2.CacheVerify = true
-	_, err = RunBenchmark(target, opts2)
+	_, err := RunBenchmark(target, opts2)
 	if err == nil || !strings.Contains(err.Error(), "cache verify") {
 		t.Fatalf("verify over a forged entry returned %v, want a cache verify error", err)
 	}
@@ -248,6 +194,85 @@ func TestCacheVerifyCatchesForgedEntry(t *testing.T) {
 	opts3, _ := cacheOpts(t, dir)
 	if _, err := RunBenchmark(target, opts3); err != nil {
 		t.Fatalf("non-verify warm run failed: %v", err)
+	}
+}
+
+// forgeEntry rewrites the first cache entry of the given kind: it
+// decodes the value into v, lets mutate perturb it, re-encodes it and
+// recomputes the header checksum, so the store serves the forged value
+// as a valid hit.
+func forgeEntry(t *testing.T, dir, kind string, v any, mutate func()) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		p := filepath.Join(dir, e.Name())
+		h, value := readEntryFile(t, p)
+		if !strings.Contains(h.Key, "kind="+kind) {
+			continue
+		}
+		if err := gob.NewDecoder(bytes.NewReader(value)).Decode(v); err != nil {
+			t.Fatal(err)
+		}
+		mutate()
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		h.Sum = hex.EncodeToString(sum[:])
+		line, err := json.Marshal(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, append(append(line, '\n'), buf.Bytes()...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	t.Fatalf("no %s entry found to forge", kind)
+}
+
+// TestCacheVerifyFailureRetiresLadderOnce: a verify mismatch on a
+// sampled-ladder entry fails the reference unit before any comparison
+// is spawned, so under Degrade every work item retires exactly once and
+// onDone fires once, with the failure recorded and no ladder result
+// published.
+func TestCacheVerifyFailureRetiresLadderOnce(t *testing.T) {
+	dir := t.TempDir()
+	target := BuildFromAsm("stationary", stationarySrc(3000, 6144))
+	opts, _ := allAxesCacheOpts(t, dir)
+	runCached(t, target, opts)
+	var val spEntry
+	forgeEntry(t, dir, "sp", &val, func() { val.Runs[0].Cycles++ })
+
+	opts2, _ := allAxesCacheOpts(t, dir)
+	opts2.CacheVerify = true
+	s := NewSchedulerPolicy(2, Degrade)
+	var done atomic.Int64
+	var res *BenchmarkResult
+	b := scheduleBenchmark(s, target, opts2, func(r *BenchmarkResult) { done.Add(1); res = r })
+	if err := s.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if n := done.Load(); n != 1 {
+		t.Fatalf("onDone fired %d times, want 1", n)
+	}
+	b.mu.Lock()
+	remaining := b.remaining
+	b.mu.Unlock()
+	if remaining != 0 {
+		t.Fatalf("remaining = %d after the benchmark reported, want 0", remaining)
+	}
+	if len(res.Failures) != 1 || !strings.Contains(res.Failures[0].Err, "cache verify") {
+		t.Fatalf("failures = %+v, want one cache verify failure", res.Failures)
+	}
+	for i, r := range res.Results {
+		if r.T != 0 {
+			t.Fatalf("Results[%d] published despite the failed reference unit: %+v", i, r)
+		}
 	}
 }
 

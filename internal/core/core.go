@@ -110,13 +110,6 @@ type Options struct {
 	// leaves this off; tools that inspect per-block normalized rows turn
 	// it on.
 	KeepNormalized bool
-	// IndependentRuns forces every INIP(T) run to execute the guest
-	// itself instead of replaying the shared reference trace
-	// (dbt.RunMulti). Results are identical either way — the shared
-	// trace exists purely to avoid re-executing the same instruction
-	// stream once per threshold — so this is a cross-check and
-	// measurement knob.
-	IndependentRuns bool
 	// Predictors names the dynamic branch predictors (internal/predict)
 	// to drive off the reference trace as read-only observers: the
 	// guest still executes once and profiling counters are untouched.
@@ -127,10 +120,10 @@ type Options struct {
 	// (dbt.Config.SamplePeriod): for each period the whole INIP(T)
 	// threshold ladder is rerun with sampled counters and compared to
 	// the full-instrumentation AVEP, filling BenchmarkResult.Sampling.
-	// In shared-trace mode the sampled runs ride the same reference
-	// trace as extra followers — the guest still executes exactly once —
-	// so the full-instrumentation figures stay byte-identical to a run
-	// without the field. Empty runs no sampled ladders.
+	// The sampled runs ride the reference trace as extra followers —
+	// the guest still executes exactly once — so the
+	// full-instrumentation figures stay byte-identical to a run without
+	// the field. Empty runs no sampled ladders.
 	SamplePeriods []uint64
 	// SampleSeed seeds the stride phase of every sampled run
 	// (dbt.Config.SampleSeed); it participates in the sampled cache
@@ -318,7 +311,7 @@ type BenchmarkResult struct {
 	// Learned is the learned-predictor collection (static site features
 	// + reference-trace tallies), present when Options.Learned was set.
 	// Like Predictors it is threshold-independent and bit-identical
-	// across worker counts, run modes and dispatch paths.
+	// across worker counts and dispatch paths.
 	Learned *learned.BenchData
 	// Failures lists the units that failed permanently under the Degrade
 	// policy, in completion order (callers that need a stable order sort
@@ -486,7 +479,7 @@ func (b *benchRun) recordEv(unit string, threshold uint64, worker int, start tim
 		switch unit {
 		case obs.UnitBuild:
 			tm.Build.Add(int64(dur))
-		case obs.UnitRef, obs.UnitSample:
+		case obs.UnitRef:
 			tm.RefRuns.Add(int64(dur))
 		case obs.UnitTrain:
 			tm.TrainRuns.Add(int64(dur))
@@ -516,11 +509,12 @@ func (b *benchRun) addSampleStats(snap *profile.Snapshot) {
 }
 
 // ScheduleBenchmark decomposes the three-way study of one target into
-// run units on the scheduler: the reference unit (AVEP — and, unless
-// IndependentRuns is set, the whole INIP ladder replayed over its
-// trace), the training unit, one comparison unit per threshold, and the
-// training comparison. onDone is called with the completed result; on
-// failure the scheduler records the first error instead.
+// run units on the scheduler: the reference unit (AVEP and the whole
+// INIP ladder replayed over its trace), the training unit, one
+// comparison unit per distinct threshold, one sampled-ladder comparison
+// per sample period, and the training comparison. onDone is called
+// with the completed result; on failure the scheduler records the first
+// error instead.
 //
 // Dependencies are handled by spawning: the per-threshold comparisons
 // need the AVEP snapshot, so the reference unit schedules them after the
@@ -736,20 +730,6 @@ func newPredictSuite(names []string) (*predict.Suite, []dbt.TraceObserver, error
 	return suite, []dbt.TraceObserver{suiteObserver{suite}}, nil
 }
 
-// settlePredictors publishes the predictor tallies of a cold reference
-// run and settles their cache entry (store on miss, differential check
-// on a verify-mode hit). No-op without predictors.
-func (b *benchRun) settlePredictors(suite *predict.Suite, useCache, bpHit bool, bpKey resultcache.Key, bpCached bpEntry, worker int) error {
-	if suite == nil {
-		return nil
-	}
-	b.out.Predictors = suite.Results()
-	if useCache {
-		return b.cacheSettle(bpKey, bpHit, bpEntry{Results: b.out.Predictors}, bpCached, worker)
-	}
-	return nil
-}
-
 // newLearnedCollector extracts the static branch-site features and
 // builds the tally observer for the learned predictor class. It returns
 // no observer when the class is off. Extraction is pure static analysis
@@ -767,21 +747,6 @@ func (b *benchRun) newLearnedCollector(img *guest.Image, worker int) (*learned.C
 	}
 	col := learned.NewCollector(sites)
 	return col, []dbt.TraceObserver{col}, nil
-}
-
-// settleLearned publishes the learned collection of a cold reference
-// run and settles its cache entry. No-op when the class is off.
-func (b *benchRun) settleLearned(col *learned.Collector, useCache, lsHit bool, lsKey resultcache.Key, lsCached lsEntry, worker int) error {
-	if col == nil {
-		return nil
-	}
-	data := col.BenchData(b.t.Name)
-	b.out.Learned = &data
-	if useCache {
-		computed := lsEntry{Fingerprint: b.opts.Learned.Fingerprint(), Data: data}
-		return b.cacheSettle(lsKey, lsHit, computed, lsCached, worker)
-	}
-	return nil
 }
 
 // distinctRungs deduplicates the threshold ladder: a ladder scaled far
@@ -819,8 +784,8 @@ func (b *benchRun) sampleConfigs(period uint64, distinct []uint64) []dbt.Config 
 	return cfgs
 }
 
-// refUnit produces the AVEP snapshot (and, in shared-trace mode, every
-// INIP(T) snapshot alongside it), then fans out the comparison units.
+// refUnit produces the AVEP snapshot and every INIP(T) snapshot in one
+// guest execution, then fans out the comparison units.
 func (b *benchRun) refUnit(worker int) error {
 	_, err := b.execute(obs.UnitRef, 0, worker, b.cancelRef, func() error {
 		return b.refBody(worker)
@@ -828,6 +793,9 @@ func (b *benchRun) refUnit(worker int) error {
 	return err
 }
 
+// refBody looks up the ref, bp, ls and sp cache entries; when all of
+// them hit it replays the bundle, otherwise it runs the union of every
+// config and observer over one guest execution and settles each entry.
 func (b *benchRun) refBody(worker int) error {
 	start := time.Now()
 	img, tape, err := b.build.get("ref")
@@ -866,204 +834,144 @@ func (b *benchRun) refBody(worker int) error {
 		lsHit = b.cacheLookup(lsKey, &lsCached, worker) &&
 			lsEntryMatches(&lsCached, b.opts.Learned.Fingerprint(), b.t.Name)
 	}
-	lsWarm := b.opts.Learned == nil || lsHit
 
+	// Deduplicate the ladder (see distinctRungs): one follower per
+	// distinct threshold, shared results fanned out to every collapsed
+	// rung.
+	distinct, rungs := b.distinctRungs()
 	avepCfg := b.dbtConfig("ref", 0, false)
-	if b.opts.IndependentRuns {
-		var key resultcache.Key
-		var cached runOutput
-		hit := false
+	cfgs := make([]dbt.Config, 0, len(distinct)+1)
+	cfgs = append(cfgs, avepCfg)
+	for _, threshold := range distinct {
+		cfgs = append(cfgs, b.dbtConfig("ref", threshold, true))
+	}
+	// Sampled ladders ride the same reference trace as additional
+	// followers — the guest still executes exactly once — and each
+	// period has its own cache entry, so the sweep warms incrementally
+	// and the main reference bundle's entry stays byte-identical to a
+	// run without sampling.
+	periods := b.opts.SamplePeriods
+	spCfgs := make([][]dbt.Config, len(periods))
+	spKeys := make([]resultcache.Key, len(periods))
+	spCached := make([]spEntry, len(periods))
+	spHits := make([]bool, len(periods))
+	allSpHit := true
+	for pi, period := range periods {
+		spCfgs[pi] = b.sampleConfigs(period, distinct)
 		if useCache {
-			key = b.runCacheKey(b.refImgHash, "ref", avepCfg)
-			hit = b.cacheLookup(key, &cached, worker) && cached.Snapshot != nil
+			spKeys[pi] = b.spCacheKey(b.refImgHash, period, spCfgs[pi])
+			spHits[pi] = b.cacheLookup(spKeys[pi], &spCached[pi], worker) && spEntryMatches(&spCached[pi], period, spCfgs[pi])
 		}
-		if hit && (len(preds) == 0 || bpHit) && lsWarm && !b.opts.CacheVerify {
-			if len(preds) > 0 {
-				b.out.Predictors = bpCached.Results
-			}
-			if b.opts.Learned != nil {
-				data := lsCached.Data
-				b.out.Learned = &data
-			}
-			b.recordAVEP(cached.Snapshot, cached.Cycles)
-		} else {
-			suite, observers, err := newPredictSuite(preds)
-			if err != nil {
-				return err
-			}
-			col, lobs, err := b.newLearnedCollector(img, worker)
-			if err != nil {
-				return err
-			}
-			observers = append(observers, lobs...)
-			start = time.Now()
-			var avep *profile.Snapshot
-			var stats *dbt.RunStats
-			if suite == nil && col == nil {
-				avep, stats, err = dbt.Run(img, tape, avepCfg)
-			} else {
-				// Single-config RunMulti is the same driver loop as
-				// dbt.Run — snapshots and stats are bit-identical —
-				// with the branch stream exposed to the observers.
-				var snaps []*profile.Snapshot
-				var statss []*dbt.RunStats
-				snaps, statss, err = dbt.RunMultiObserved(img, tape, []dbt.Config{avepCfg}, observers)
-				if err == nil {
-					avep, stats = snaps[0], statss[0]
-				}
-			}
-			if err != nil {
-				err = fmt.Errorf("core: AVEP run of %s: %w", b.t.Name, err)
-				b.record(obs.UnitRef, 0, worker, start, 0, err)
-				return err
-			}
-			b.addRunStats(stats)
-			b.recordRun(obs.UnitRef, 0, worker, start, stats)
-			if useCache {
-				computed := runOutput{Snapshot: avep, Stats: *stats, Cycles: cyclesOf(avepCfg)}
-				if err := b.cacheSettle(key, hit, computed, cached, worker); err != nil {
-					return err
-				}
-			}
-			if err := b.settlePredictors(suite, useCache, bpHit, bpKey, bpCached, worker); err != nil {
-				return err
-			}
-			if err := b.settleLearned(col, useCache, lsHit, lsKey, lsCached, worker); err != nil {
-				return err
-			}
-			b.recordAVEP(avep, cyclesOf(avepCfg))
+		allSpHit = allSpHit && spHits[pi]
+	}
+	var key resultcache.Key
+	var cached refEntry
+	hit := false
+	if useCache {
+		key = b.refCacheKey(b.refImgHash, cfgs)
+		hit = b.cacheLookup(key, &cached, worker) && refEntryMatches(&cached, cfgs)
+	}
+
+	var avep *profile.Snapshot
+	var avepCycles float64
+	var outs []runOutput
+	spOuts := make([][]runOutput, len(periods))
+	if hit && (len(preds) == 0 || bpHit) && (b.opts.Learned == nil || lsHit) && allSpHit && !b.opts.CacheVerify {
+		// Warm path: replay the whole reference bundle without
+		// executing a single guest block. addRunStats is deliberately
+		// not called — a fully cached benchmark reports zero blocks.
+		if len(preds) > 0 {
+			b.out.Predictors = bpCached.Results
 		}
-		for i, threshold := range b.opts.Thresholds {
-			i, threshold := i, threshold
-			b.s.GoW(func(w int) error { return b.inipUnit(i, threshold, w) })
+		if b.opts.Learned != nil {
+			data := lsCached.Data
+			b.out.Learned = &data
 		}
-		for pi, period := range b.opts.SamplePeriods {
-			pi, period := pi, period
-			b.s.GoW(func(w int) error { return b.samplePeriodUnit(pi, period, w) })
+		avep, avepCycles, outs = cached.AVEP, cached.AVEPCycles, cached.Runs
+		for pi := range periods {
+			spOuts[pi] = spCached[pi].Runs
 		}
 	} else {
-		// Deduplicate the ladder (see distinctRungs): one follower per
-		// distinct threshold, shared results fanned out to every
-		// collapsed rung.
-		distinct, rungs := b.distinctRungs()
-		cfgs := make([]dbt.Config, 0, len(distinct)+1)
-		cfgs = append(cfgs, avepCfg)
-		for _, threshold := range distinct {
-			cfgs = append(cfgs, b.dbtConfig("ref", threshold, true))
+		suite, observers, err := newPredictSuite(preds)
+		if err != nil {
+			return err
 		}
-		// Sampled ladders ride the same reference trace as additional
-		// followers — the guest still executes exactly once — and each
-		// period has its own cache entry, so the sweep warms
-		// incrementally and the main reference bundle's entry stays
-		// byte-identical to a run without sampling.
-		periods := b.opts.SamplePeriods
-		spCfgs := make([][]dbt.Config, len(periods))
-		spKeys := make([]resultcache.Key, len(periods))
-		spCached := make([]spEntry, len(periods))
-		spHits := make([]bool, len(periods))
-		allSpHit := true
-		for pi, period := range periods {
-			spCfgs[pi] = b.sampleConfigs(period, distinct)
-			if useCache {
-				spKeys[pi] = b.spCacheKey(b.refImgHash, period, spCfgs[pi])
-				spHits[pi] = b.cacheLookup(spKeys[pi], &spCached[pi], worker) && spEntryMatches(&spCached[pi], period, spCfgs[pi])
-			}
-			if !spHits[pi] {
-				allSpHit = false
+		col, lobs, err := b.newLearnedCollector(img, worker)
+		if err != nil {
+			return err
+		}
+		observers = append(observers, lobs...)
+		runCfgs := cfgs
+		for _, sc := range spCfgs {
+			runCfgs = append(runCfgs, sc...)
+		}
+		start = time.Now()
+		snaps, stats, err := dbt.RunMultiObserved(img, tape, runCfgs, observers)
+		if err != nil {
+			err = fmt.Errorf("core: reference runs of %s: %w", b.t.Name, err)
+			b.record(obs.UnitRef, 0, worker, start, 0, err)
+			return err
+		}
+		for _, st := range stats {
+			b.addRunStats(st)
+		}
+		b.recordRun(obs.UnitRef, 0, worker, start, stats...)
+		output := func(k int) runOutput {
+			cfg := runCfgs[k]
+			return runOutput{T: cfg.Threshold, Snapshot: snaps[k], Stats: *stats[k], Cycles: cyclesOf(cfg)}
+		}
+		avep, avepCycles = snaps[0], cyclesOf(avepCfg)
+		outs = make([]runOutput, len(rungs))
+		for j := range rungs {
+			outs[j] = output(1 + j)
+		}
+		for pi := range periods {
+			spOuts[pi] = make([]runOutput, len(rungs))
+			for j := range rungs {
+				k := 1 + (pi+1)*len(rungs) + j
+				spOuts[pi][j] = output(k)
+				b.addSampleStats(snaps[k])
 			}
 		}
-		var key resultcache.Key
-		var cached refEntry
-		hit := false
+		if suite != nil {
+			b.out.Predictors = suite.Results()
+		}
+		if col != nil {
+			data := col.BenchData(b.t.Name)
+			b.out.Learned = &data
+		}
+		// Settle every entry (store on a miss, check on a verify-mode
+		// hit) before any comparison is spawned, so a failed check fails
+		// the unit while every ladder item is still its own to retire.
 		if useCache {
-			key = b.refCacheKey(b.refImgHash, cfgs)
-			hit = b.cacheLookup(key, &cached, worker) && refEntryMatches(&cached, cfgs)
-		}
-		if hit && (len(preds) == 0 || bpHit) && lsWarm && allSpHit && !b.opts.CacheVerify {
-			// Warm path: replay the whole reference bundle without
-			// executing a single guest block. addRunStats is deliberately
-			// not called — a fully cached benchmark reports zero blocks.
-			if len(preds) > 0 {
-				b.out.Predictors = bpCached.Results
-			}
-			if b.opts.Learned != nil {
-				data := lsCached.Data
-				b.out.Learned = &data
-			}
-			b.recordAVEP(cached.AVEP, cached.AVEPCycles)
-			for j := range rungs {
-				idxs, ro := rungs[j], cached.Runs[j]
-				b.s.GoW(func(w int) error { return b.compareUnit(idxs, ro, w) })
-			}
-			for pi := range periods {
-				pi, outs := pi, spCached[pi].Runs
-				b.s.GoW(func(w int) error { return b.sampleCompareUnit(pi, rungs, outs, w) })
-			}
-		} else {
-			suite, observers, err := newPredictSuite(preds)
-			if err != nil {
+			if err := b.cacheSettle(key, hit, refEntry{AVEP: avep, AVEPStats: *stats[0], AVEPCycles: avepCycles, Runs: outs}, cached, worker); err != nil {
 				return err
 			}
-			col, lobs, err := b.newLearnedCollector(img, worker)
-			if err != nil {
-				return err
-			}
-			observers = append(observers, lobs...)
-			runCfgs := cfgs
-			for _, sc := range spCfgs {
-				runCfgs = append(runCfgs, sc...)
-			}
-			start = time.Now()
-			snaps, stats, err := dbt.RunMultiObserved(img, tape, runCfgs, observers)
-			if err != nil {
-				err = fmt.Errorf("core: reference runs of %s: %w", b.t.Name, err)
-				b.record(obs.UnitRef, 0, worker, start, 0, err)
-				return err
-			}
-			for _, st := range stats {
-				b.addRunStats(st)
-			}
-			b.recordRun(obs.UnitRef, 0, worker, start, stats...)
-			outs := make([]runOutput, len(rungs))
-			for j := range rungs {
-				cfg := cfgs[j+1]
-				outs[j] = runOutput{T: cfg.Threshold, Snapshot: snaps[j+1], Stats: *stats[j+1], Cycles: cyclesOf(cfg)}
-			}
-			if useCache {
-				computed := refEntry{AVEP: snaps[0], AVEPStats: *stats[0], AVEPCycles: cyclesOf(avepCfg), Runs: outs}
-				if err := b.cacheSettle(key, hit, computed, cached, worker); err != nil {
+			if suite != nil {
+				if err := b.cacheSettle(bpKey, bpHit, bpEntry{Results: b.out.Predictors}, bpCached, worker); err != nil {
 					return err
 				}
 			}
-			if err := b.settlePredictors(suite, useCache, bpHit, bpKey, bpCached, worker); err != nil {
-				return err
+			if col != nil {
+				if err := b.cacheSettle(lsKey, lsHit, lsEntry{Fingerprint: b.opts.Learned.Fingerprint(), Data: *b.out.Learned}, lsCached, worker); err != nil {
+					return err
+				}
 			}
-			if err := b.settleLearned(col, useCache, lsHit, lsKey, lsCached, worker); err != nil {
-				return err
-			}
-			b.recordAVEP(snaps[0], cyclesOf(avepCfg))
-			for j := range rungs {
-				idxs, ro := rungs[j], outs[j]
-				b.s.GoW(func(w int) error { return b.compareUnit(idxs, ro, w) })
-			}
-			base := 1 + len(rungs)
 			for pi, period := range periods {
-				spOuts := make([]runOutput, len(rungs))
-				for j := range rungs {
-					k := base + pi*len(rungs) + j
-					cfg := runCfgs[k]
-					spOuts[j] = runOutput{T: cfg.Threshold, Snapshot: snaps[k], Stats: *stats[k], Cycles: cyclesOf(cfg)}
-					b.addSampleStats(snaps[k])
+				if err := b.cacheSettle(spKeys[pi], spHits[pi], spEntry{Period: period, Runs: spOuts[pi]}, spCached[pi], worker); err != nil {
+					return err
 				}
-				if useCache {
-					if err := b.cacheSettle(spKeys[pi], spHits[pi], spEntry{Period: period, Runs: spOuts}, spCached[pi], worker); err != nil {
-						return err
-					}
-				}
-				pi, spOuts := pi, spOuts
-				b.s.GoW(func(w int) error { return b.sampleCompareUnit(pi, rungs, spOuts, w) })
 			}
 		}
+	}
+	b.recordAVEP(avep, avepCycles)
+	for j := range rungs {
+		idxs, ro := rungs[j], outs[j]
+		b.s.GoW(func(w int) error { return b.compareUnit(idxs, ro, w) })
+	}
+	for pi := range periods {
+		spo := spOuts[pi]
+		b.s.GoW(func(w int) error { return b.sampleCompareUnit(pi, rungs, spo, w) })
 	}
 	b.maybeCompareTrain(worker)
 	b.finishItem()
@@ -1081,53 +989,7 @@ func (b *benchRun) recordAVEP(avep *profile.Snapshot, cycles float64) {
 	b.mu.Unlock()
 }
 
-// inipUnit runs one independent INIP(T) execution and compares it
-// inline. Its failure retires exactly its own ladder item.
-func (b *benchRun) inipUnit(i int, threshold uint64, worker int) error {
-	_, err := b.execute(obs.UnitRef, threshold, worker, b.finishItem, func() error {
-		return b.inipBody(i, threshold, worker)
-	})
-	return err
-}
-
-func (b *benchRun) inipBody(i int, threshold uint64, worker int) error {
-	start := time.Now()
-	img, tape, err := b.build.get("ref")
-	b.record(obs.UnitBuild, threshold, worker, start, 0, err)
-	if err != nil {
-		return err
-	}
-	cfg := b.dbtConfig("ref", threshold, true)
-	useCache := b.cacheUsable()
-	var key resultcache.Key
-	var cached runOutput
-	hit := false
-	if useCache {
-		key = b.runCacheKey(b.refImgHash, "ref", cfg)
-		hit = b.cacheLookup(key, &cached, worker) && cached.Snapshot != nil
-		if hit && !b.opts.CacheVerify {
-			return b.compareBody([]int{i}, cached, worker)
-		}
-	}
-	start = time.Now()
-	snap, stats, err := dbt.Run(img, tape, cfg)
-	if err != nil {
-		err = fmt.Errorf("core: INIP(%d) run of %s: %w", threshold, b.t.Name, err)
-		b.record(obs.UnitRef, threshold, worker, start, 0, err)
-		return err
-	}
-	b.addRunStats(stats)
-	b.recordRun(obs.UnitRef, threshold, worker, start, stats)
-	computed := runOutput{T: cfg.Threshold, Snapshot: snap, Stats: *stats, Cycles: cyclesOf(cfg)}
-	if useCache {
-		if err := b.cacheSettle(key, hit, computed, cached, worker); err != nil {
-			return err
-		}
-	}
-	return b.compareBody([]int{i}, computed, worker)
-}
-
-// compareUnit is the scheduled comparison unit of shared-trace mode.
+// compareUnit is the scheduled comparison of one distinct threshold.
 // Its failure retires every ladder item it serves.
 func (b *benchRun) compareUnit(idxs []int, ro runOutput, worker int) error {
 	_, err := b.execute(obs.UnitCompare, ro.T, worker, func() {
@@ -1141,9 +1003,8 @@ func (b *benchRun) compareUnit(idxs []int, ro runOutput, worker int) error {
 }
 
 // compareBody evaluates one INIP(T) snapshot against the AVEP memo and
-// writes every ladder entry it serves — one in independent mode,
-// several when collapsed rungs share a follower (indexes are
-// rung-owned, no lock needed). The comparison runs once; collapsed
+// writes every ladder entry it serves — several when collapsed rungs
+// share a follower (indexes are rung-owned, no lock needed). The comparison runs once; collapsed
 // rungs receive identical results under their own paper-unit labels.
 //
 // The comparison itself is cacheable: its inputs are fully determined
@@ -1203,64 +1064,8 @@ func (b *benchRun) publishThresholdResults(idxs []int, ro runOutput, summary met
 	}
 }
 
-// samplePeriodUnit reruns the distinct-threshold ladder at one sampled
-// profiling period in independent mode and compares it inline. Its
-// failure retires exactly its own work item.
-func (b *benchRun) samplePeriodUnit(pi int, period uint64, worker int) error {
-	_, err := b.execute(obs.UnitSample, period, worker, b.finishItem, func() error {
-		return b.samplePeriodBody(pi, period, worker)
-	})
-	return err
-}
-
-func (b *benchRun) samplePeriodBody(pi int, period uint64, worker int) error {
-	start := time.Now()
-	img, tape, err := b.build.get("ref")
-	b.record(obs.UnitBuild, period, worker, start, 0, err)
-	if err != nil {
-		return err
-	}
-	distinct, rungs := b.distinctRungs()
-	cfgs := b.sampleConfigs(period, distinct)
-	useCache := b.cacheUsable()
-	var key resultcache.Key
-	var cached spEntry
-	hit := false
-	if useCache {
-		key = b.spCacheKey(b.refImgHash, period, cfgs)
-		hit = b.cacheLookup(key, &cached, worker) && spEntryMatches(&cached, period, cfgs)
-		if hit && !b.opts.CacheVerify {
-			return b.sampleCompareBody(pi, period, rungs, cached.Runs, worker)
-		}
-	}
-	// RunMulti's driver (cfgs[0]) executes the guest, the remaining
-	// rungs replay its trace — one execution per period, same results as
-	// one run per rung. The cache entry is keyed identically to the
-	// shared-trace follower bundle, so the modes warm each other.
-	start = time.Now()
-	snaps, stats, err := dbt.RunMulti(img, tape, cfgs)
-	if err != nil {
-		err = fmt.Errorf("core: sampled ladder (period %d) of %s: %w", period, b.t.Name, err)
-		b.record(obs.UnitSample, period, worker, start, 0, err)
-		return err
-	}
-	outs := make([]runOutput, len(cfgs))
-	for j, cfg := range cfgs {
-		b.addRunStats(stats[j])
-		b.addSampleStats(snaps[j])
-		outs[j] = runOutput{T: cfg.Threshold, Snapshot: snaps[j], Stats: *stats[j], Cycles: cyclesOf(cfg)}
-	}
-	b.recordRun(obs.UnitSample, period, worker, start, stats...)
-	if useCache {
-		if err := b.cacheSettle(key, hit, spEntry{Period: period, Runs: outs}, cached, worker); err != nil {
-			return err
-		}
-	}
-	return b.sampleCompareBody(pi, period, rungs, outs, worker)
-}
-
-// sampleCompareUnit is the scheduled sampled-ladder comparison of
-// shared-trace mode. Its failure retires exactly its period's item.
+// sampleCompareUnit is the scheduled sampled-ladder comparison of one
+// period. Its failure retires exactly its period's item.
 func (b *benchRun) sampleCompareUnit(pi int, rungs [][]int, outs []runOutput, worker int) error {
 	period := b.opts.SamplePeriods[pi]
 	_, err := b.execute(obs.UnitSampleCompare, period, worker, b.finishItem, func() error {
@@ -1491,10 +1296,13 @@ func CollectLearnedData(t Target, lcfg learned.Config, opts Options) (*learned.B
 	}
 	b.addRunStats(stats[0])
 	b.recordRun(obs.UnitRef, 0, worker, start, stats...)
-	if err := b.settleLearned(col, useCache, lsHit, lsKey, lsCached, worker); err != nil {
-		return nil, err
+	data := col.BenchData(t.Name)
+	if useCache {
+		if err := b.cacheSettle(lsKey, lsHit, lsEntry{Fingerprint: lcfg.Fingerprint(), Data: data}, lsCached, worker); err != nil {
+			return nil, err
+		}
 	}
-	return b.out.Learned, nil
+	return &data, nil
 }
 
 // BuildFromAsm is a convenience Target builder for fixed assembler

@@ -128,63 +128,3 @@ func TestFailFastComparisonErrorVerbatim(t *testing.T) {
 		t.Fatalf("failed comparison retired a work item: remaining = %d", remaining)
 	}
 }
-
-// TestLadderCollapseDedup: duplicate effective thresholds (a heavily
-// scaled-down ladder clamps several rungs to the same value) must run
-// one follower per distinct threshold in shared-trace mode, with the
-// shared result fanned out to every collapsed rung under its own label.
-func TestLadderCollapseDedup(t *testing.T) {
-	target := BuildFromAsm("collapse", counterProgram())
-	collapsed := []uint64{50, 50, 50, 100}
-	distinct := []uint64{50, 100}
-
-	runWith := func(ladder []uint64, independent bool) (*BenchmarkResult, *Timing) {
-		var tm Timing
-		res, err := RunBenchmark(target, Options{
-			Thresholds:      ladder,
-			Perf:            true,
-			IndependentRuns: independent,
-			Timing:          &tm,
-		})
-		if err != nil {
-			t.Fatalf("ladder %v independent=%v: %v", ladder, independent, err)
-		}
-		return res, &tm
-	}
-
-	dup, dupTm := runWith(collapsed, false)
-	ded, dedTm := runWith(distinct, false)
-	indep, indepTm := runWith(collapsed, true)
-
-	// Every collapsed rung carries the shared result under its own label.
-	for i, wantT := range collapsed {
-		if dup.Results[i].T != wantT {
-			t.Fatalf("Results[%d].T = %d, want %d", i, dup.Results[i].T, wantT)
-		}
-	}
-	for i := 1; i < 3; i++ {
-		if !reflect.DeepEqual(dup.Results[0], dup.Results[i]) {
-			t.Fatalf("collapsed rungs 0 and %d differ", i)
-		}
-	}
-	if !reflect.DeepEqual(dup.Results[0], ded.Results[0]) || !reflect.DeepEqual(dup.Results[3], ded.Results[1]) {
-		t.Fatal("collapsed ladder results differ from the distinct ladder")
-	}
-
-	// Dedup is real work saved: the duplicated shared-trace ladder
-	// executes exactly as many blocks as the distinct one, while
-	// independent mode pays for every duplicate rung again.
-	if got, want := dupTm.BlocksExecuted.Load(), dedTm.BlocksExecuted.Load(); got != want {
-		t.Fatalf("deduped ladder executed %d blocks, distinct ladder %d", got, want)
-	}
-	if indepTm.BlocksExecuted.Load() <= dupTm.BlocksExecuted.Load() {
-		t.Fatalf("independent mode (%d blocks) should exceed deduped shared mode (%d)",
-			indepTm.BlocksExecuted.Load(), dupTm.BlocksExecuted.Load())
-	}
-
-	// And determinism still holds: independent duplicate runs produce the
-	// values the fan-out copied.
-	if !reflect.DeepEqual(indep, dup) {
-		t.Fatal("independent-run results differ from deduped shared-trace results")
-	}
-}

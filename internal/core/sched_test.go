@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -112,29 +111,23 @@ hot:
 
 // TestBuildCacheBuildsOncePerInput: with a tape factory the scheduler
 // must invoke Build once per (benchmark, input) regardless of ladder
-// width or run mode.
+// width.
 func TestBuildCacheBuildsOncePerInput(t *testing.T) {
-	for _, independent := range []bool{false, true} {
-		var builds atomic.Int64
-		base := BuildFromAsm("cached", counterProgram())
-		target := Target{
-			Name: "cached",
-			Build: func(input string) (*guest.Image, interp.Tape, error) {
-				builds.Add(1)
-				return base.Build(input)
-			},
-			NewTape: base.NewTape,
-		}
-		opts := Options{
-			Thresholds:      []uint64{50, 100, 200, 400},
-			IndependentRuns: independent,
-		}
-		if _, err := RunBenchmark(target, opts); err != nil {
-			t.Fatalf("independent=%v: %v", independent, err)
-		}
-		if got := builds.Load(); got != 2 {
-			t.Fatalf("independent=%v: Build called %d times, want 2 (ref+train)", independent, got)
-		}
+	var builds atomic.Int64
+	base := BuildFromAsm("cached", counterProgram())
+	target := Target{
+		Name: "cached",
+		Build: func(input string) (*guest.Image, interp.Tape, error) {
+			builds.Add(1)
+			return base.Build(input)
+		},
+		NewTape: base.NewTape,
+	}
+	if _, err := RunBenchmark(target, Options{Thresholds: []uint64{50, 100, 200, 400}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := builds.Load(); got != 2 {
+		t.Fatalf("Build called %d times, want 2 (ref+train)", got)
 	}
 }
 
@@ -154,35 +147,6 @@ taken:
 	blt r1, r2, loop
 	halt
 `
-}
-
-// TestScheduledModesAgree: the shared-trace pipeline, the
-// independent-run pipeline, and any worker count must all produce the
-// identical benchmark result.
-func TestScheduledModesAgree(t *testing.T) {
-	// The duplicate rung exercises the shared-trace dedup fan-out, which
-	// must be invisible next to independent mode's genuine repeat runs.
-	target := BuildFromAsm("modes", counterProgram())
-	opts := Options{Thresholds: []uint64{20, 50, 50, 100}, Perf: true, KeepNormalized: true}
-
-	ref, err := RunBenchmark(target, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		for _, independent := range []bool{false, true} {
-			o := opts
-			o.Workers = workers
-			o.IndependentRuns = independent
-			got, err := RunBenchmark(target, o)
-			if err != nil {
-				t.Fatalf("workers=%d independent=%v: %v", workers, independent, err)
-			}
-			if !reflect.DeepEqual(got, ref) {
-				t.Fatalf("workers=%d independent=%v: results differ from reference", workers, independent)
-			}
-		}
-	}
 }
 
 // TestKeepNormalizedDefaultOff: the memory knob must drop the per-run

@@ -307,10 +307,15 @@ func cutLast(s, sep string) (before, after string, found bool) {
 // the wildcard, and any other "*" would collide with the repeat-count
 // suffix when the plan's canonical String form is re-parsed (an
 // optional component rendered away can expose a trailing "*<digits>"
-// of the name to the repeat cutter).
+// of the name to the repeat cutter). It also rejects surrounding
+// whitespace, which Parse trims from every entry: a name rendered at
+// the edge of an entry would otherwise re-parse as a different name.
 func checkName(what, name string) error {
 	if name != "*" && strings.Contains(name, "*") {
 		return fmt.Errorf("%s %q may not contain %q (a bare %q matches any)", what, name, "*", "*")
+	}
+	if strings.TrimSpace(name) != name {
+		return fmt.Errorf("%s %q has surrounding whitespace", what, name)
 	}
 	return nil
 }

@@ -137,6 +137,14 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.Study.Executor != nil {
 		return nil, fmt.Errorf("fleet: the coordinator owns the study executor")
 	}
+	// Unit specs carry neither axis and completed series would come back
+	// without them, so the figures would silently go missing.
+	if len(cfg.Study.SamplePeriods) > 0 {
+		return nil, fmt.Errorf("fleet: sampled-profiling periods are not distributed; run the study in one process")
+	}
+	if cfg.Study.Learned != nil {
+		return nil, fmt.Errorf("fleet: the learned predictor is not distributed; run the study in one process")
+	}
 	// Resolve defaults now: unit specs serialize ladder, scale and
 	// predictors from this config, and they must be the values Run
 	// will use, not zero placeholders.
@@ -323,12 +331,11 @@ func (c *Coordinator) enqueue(bench string) *unit {
 	u := &unit{
 		seq: c.seq,
 		spec: UnitSpec{
-			Bench:           bench,
-			Scale:           scfg.Scale,
-			PaperT:          scfg.Thresholds,
-			PoolTrigger:     scfg.PoolTrigger,
-			IndependentRuns: scfg.IndependentRuns,
-			Predictors:      scfg.Predictors,
+			Bench:       bench,
+			Scale:       scfg.Scale,
+			PaperT:      scfg.Thresholds,
+			PoolTrigger: scfg.PoolTrigger,
+			Predictors:  scfg.Predictors,
 		},
 		state:      unitPending,
 		eligibleAt: c.cfg.Now(),

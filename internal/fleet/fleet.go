@@ -56,12 +56,11 @@ var ErrLeaseGone = errors.New("fleet: lease gone")
 // travel in paper units; the worker derives the effective ladder with
 // study.EffectiveLadder, the same helper study.Run uses.
 type UnitSpec struct {
-	Bench           string    `json:"bench"`
-	Scale           float64   `json:"scale"`
-	PaperT          []float64 `json:"paper_t"`
-	PoolTrigger     int       `json:"pool_trigger,omitempty"`
-	IndependentRuns bool      `json:"independent_runs,omitempty"`
-	Predictors      []string  `json:"predictors,omitempty"`
+	Bench       string    `json:"bench"`
+	Scale       float64   `json:"scale"`
+	PaperT      []float64 `json:"paper_t"`
+	PoolTrigger int       `json:"pool_trigger,omitempty"`
+	Predictors  []string  `json:"predictors,omitempty"`
 }
 
 // LeaseRequest asks for work.

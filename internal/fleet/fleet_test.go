@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/learned"
 	"repro/internal/spec"
 	"repro/internal/study"
 )
@@ -356,5 +357,28 @@ func TestFleetSeveredWorkerExitsOffline(t *testing.T) {
 	err = w.Run(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "unreachable") {
 		t.Fatalf("severed worker returned %v, want unreachable error", err)
+	}
+}
+
+// TestCoordinatorRejectsUndistributedAxes: unit specs carry neither
+// sampled-profiling periods nor the learned config, and a completed
+// series crosses back without either, so a study that asks for them
+// is refused up front instead of silently losing those figures.
+func TestCoordinatorRejectsUndistributedAxes(t *testing.T) {
+	lc := learned.DefaultConfig()
+	for _, tc := range []struct {
+		name   string
+		mutate func(*study.Config)
+		want   string
+	}{
+		{"sample periods", func(c *study.Config) { c.SamplePeriods = []uint64{4} }, "sampled-profiling"},
+		{"learned", func(c *study.Config) { c.Learned = &lc }, "learned"},
+	} {
+		cfg := testStudy(t)
+		tc.mutate(&cfg)
+		_, err := NewCoordinator(Config{Study: cfg})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: NewCoordinator err = %v, want a refusal naming %q", tc.name, err, tc.want)
+		}
 	}
 }

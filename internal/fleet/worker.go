@@ -197,16 +197,15 @@ func (w *Worker) execute(ctx context.Context, g *LeaseGrant) {
 		// Rebuild the exact (Target, Options) pair the in-process
 		// study would run, through the same shared helpers.
 		scfg := study.Config{
-			Scale:           u.Scale,
-			Thresholds:      u.PaperT,
-			PoolTrigger:     u.PoolTrigger,
-			IndependentRuns: u.IndependentRuns,
-			Predictors:      u.Predictors,
-			MaxAttempts:     w.cfg.MaxAttempts,
-			RetryBackoff:    w.cfg.RetryBackoff,
-			Faults:          w.cfg.Faults,
-			Trace:           w.cfg.Trace,
-			Cache:           w.cfg.Cache,
+			Scale:        u.Scale,
+			Thresholds:   u.PaperT,
+			PoolTrigger:  u.PoolTrigger,
+			Predictors:   u.Predictors,
+			MaxAttempts:  w.cfg.MaxAttempts,
+			RetryBackoff: w.cfg.RetryBackoff,
+			Faults:       w.cfg.Faults,
+			Trace:        w.cfg.Trace,
+			Cache:        w.cfg.Cache,
 		}
 		_, ladder := study.EffectiveLadder(u.PaperT, u.Scale)
 		opts := scfg.UnitOptions(ladder, &w.timing)

@@ -40,7 +40,6 @@ const (
 
 	// Sampled-profiling spans (core.Options.SamplePeriods). T carries
 	// the sample period, not a threshold.
-	UnitSample        = "sample"         // an independent-mode sampled ladder execution
 	UnitSampleCompare = "sample_compare" // one period's sampled-vs-AVEP comparison sweep
 
 	// Learned-predictor spans (core.Options.Learned). Collection is
@@ -77,7 +76,6 @@ var validUnits = map[string]bool{
 	UnitCacheMiss:    true,
 	UnitCacheStore:   true,
 
-	UnitSample:        true,
 	UnitSampleCompare: true,
 
 	UnitLearnedCollect: true,

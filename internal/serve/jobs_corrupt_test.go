@@ -131,6 +131,24 @@ func TestJobTableCorruptVariants(t *testing.T) {
 	if len(tbl.list()) != 3 || tbl.recordsDropped != 0 {
 		t.Fatalf("clean load: %d records, %d dropped", len(tbl.list()), tbl.recordsDropped)
 	}
+
+	// A record whose request still carries "independent_runs" (earlier
+	// builds had that study option; both of its modes produced identical
+	// series) loads without loss and re-enqueues to completion.
+	dir = t.TempDir()
+	legacy := `[{"id":"job-1","state":"stopped","request":{"scale":0.001,"benches":["gzip"],"independent_runs":true},"created_unix":100}]`
+	if err := os.WriteFile(filepath.Join(dir, "jobs.json"), []byte(legacy), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Scale: 0.001, Workers: 1, StateDir: dir, Resume: true}, nil, nil)
+	if s.jobs.recordsDropped != 0 {
+		t.Fatalf("legacy record dropped: recordsDropped = %d", s.jobs.recordsDropped)
+	}
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	if rec := waitJob(t, srv.URL, "job-1", JobDone); !rec.Resumed {
+		t.Fatalf("legacy job not re-enqueued: %+v", rec)
+	}
 }
 
 // TestJobRecordsDroppedMetric: the salvage count reaches /v1/metrics.

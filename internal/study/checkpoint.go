@@ -24,14 +24,20 @@ const checkpointVersion = 1
 // checkpointHeader is the first line of a checkpoint file: the
 // fingerprint of the study configuration that produced it. A resumed
 // run must match it exactly — mixing series from different scales,
-// ladders, run modes or suite selections would corrupt the figures
-// silently, which is worse than rerunning.
+// ladders or suite selections would corrupt the figures silently, which
+// is worse than rerunning.
 type checkpointHeader struct {
-	Version         int       `json:"version"`
-	Scale           float64   `json:"scale"`
-	PaperT          []float64 `json:"paper_t"`
-	IndependentRuns bool      `json:"independent_runs"`
-	Benchmarks      []string  `json:"benchmarks"`
+	Version int       `json:"version"`
+	Scale   float64   `json:"scale"`
+	PaperT  []float64 `json:"paper_t"`
+	// LegacyIndependentRuns is only read, never written or compared:
+	// earlier builds recorded whether every INIP(T) ran the guest itself
+	// instead of replaying the shared reference trace. Both modes
+	// produced identical series, so a checkpoint from either resumes
+	// under the one remaining mode; the field exists so strict decoding
+	// still accepts those headers.
+	LegacyIndependentRuns bool     `json:"independent_runs,omitempty"`
+	Benchmarks            []string `json:"benchmarks"`
 	// Predictors is the requested dynamic-predictor list; omitted when
 	// empty so predictor-less checkpoints are byte-identical to files
 	// written before the field existed (strict unmarshal keeps reading
@@ -83,14 +89,13 @@ func openCheckpoint(cfg *Config, paperT []float64) (*checkpointer, map[string]Be
 	c := &checkpointer{
 		path: cfg.Checkpoint,
 		header: checkpointHeader{
-			Version:         checkpointVersion,
-			Scale:           cfg.Scale,
-			PaperT:          paperT,
-			IndependentRuns: cfg.IndependentRuns,
-			Benchmarks:      names,
-			Predictors:      cfg.Predictors,
-			SamplePeriods:   cfg.SamplePeriods,
-			Learned:         learnedFingerprint(cfg.Learned),
+			Version:       checkpointVersion,
+			Scale:         cfg.Scale,
+			PaperT:        paperT,
+			Benchmarks:    names,
+			Predictors:    cfg.Predictors,
+			SamplePeriods: cfg.SamplePeriods,
+			Learned:       learnedFingerprint(cfg.Learned),
 		},
 		order: order,
 		done:  make(map[string]BenchmarkSeries),
@@ -193,9 +198,6 @@ func matchHeader(got, want checkpointHeader) error {
 	}
 	if !equalFloats(got.PaperT, want.PaperT) {
 		return fmt.Errorf("checkpoint ladder %v, this run uses %v", got.PaperT, want.PaperT)
-	}
-	if got.IndependentRuns != want.IndependentRuns {
-		return fmt.Errorf("checkpoint independent_runs=%v, this run uses %v", got.IndependentRuns, want.IndependentRuns)
 	}
 	if !equalStrings(got.Benchmarks, want.Benchmarks) {
 		return fmt.Errorf("checkpoint benchmarks %v, this run selects %v", got.Benchmarks, want.Benchmarks)

@@ -223,7 +223,6 @@ func TestResumeRejectsMismatchedFingerprint(t *testing.T) {
 		{"scale", func(c *Config) { c.Scale = 0.002 }, "scale"},
 		{"ladder", func(c *Config) { c.Thresholds = []float64{1, 100} }, "ladder"},
 		{"benchmarks", func(c *Config) { c.Benchmarks = c.Benchmarks[:1] }, "benchmarks"},
-		{"runmode", func(c *Config) { c.IndependentRuns = true }, "independent_runs"},
 	}
 	for _, tc := range cases {
 		cfg := robustConfig("gzip", "swim")
@@ -245,6 +244,51 @@ func TestResumeRejectsMismatchedFingerprint(t *testing.T) {
 	cfg.Resume = true
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("corrupted checkpoint accepted")
+	}
+}
+
+// TestResumeAcceptsLegacyRunModeHeader: checkpoints written before the
+// independent-runs mode was removed carry "independent_runs" in their
+// header, true or false. Both modes produced identical series, so
+// either resumes: the stored series is restored, the rest is run, and
+// the figures match an uninterrupted run.
+func TestResumeAcceptsLegacyRunModeHeader(t *testing.T) {
+	dir := t.TempDir()
+	base := robustConfig("gzip", "swim")
+	base.Checkpoint = filepath.Join(dir, "full.jsonl")
+	full, err := Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(base.Checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(string(data), "\n")
+	if strings.Contains(lines[0], "independent_runs") {
+		t.Fatalf("new header still writes the legacy field: %s", lines[0])
+	}
+	for _, mode := range []string{"true", "false"} {
+		// The parent format: the field sat between paper_t and
+		// benchmarks. Keep only the first series, so the resume both
+		// restores and runs.
+		hdr := strings.Replace(lines[0], `,"benchmarks":`, `,"independent_runs":`+mode+`,"benchmarks":`, 1)
+		cfg := robustConfig("gzip", "swim")
+		cfg.Checkpoint = filepath.Join(dir, "legacy-"+mode+".jsonl")
+		cfg.Resume = true
+		if err := os.WriteFile(cfg.Checkpoint, []byte(hdr+lines[1]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("independent_runs=%s: resume refused: %v", mode, err)
+		}
+		if res.Perf.ResumedSeries != 1 {
+			t.Fatalf("independent_runs=%s: ResumedSeries = %d, want 1", mode, res.Perf.ResumedSeries)
+		}
+		if got, want := figureJSON(t, res), figureJSON(t, full); got != want {
+			t.Fatalf("independent_runs=%s: resumed figures differ from the uninterrupted run", mode)
+		}
 	}
 }
 

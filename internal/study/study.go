@@ -65,11 +65,6 @@ type Config struct {
 	// benchmark. Write failures do not stop the study; they are counted
 	// in Perf.ProgressWriteErrors.
 	Progress io.Writer
-	// IndependentRuns disables the shared-trace reference execution:
-	// every INIP(T) run executes the guest itself, as a cross-check
-	// (results are identical) and for machines with more cores than
-	// thresholds.
-	IndependentRuns bool
 	// Trace, when non-nil, receives one flight-recorder event per
 	// completed pipeline span (see internal/obs). Tracing never alters
 	// results: figure output is byte-identical with it on or off.
@@ -96,7 +91,8 @@ type Config struct {
 	Checkpoint string
 	// Resume loads Checkpoint before running and schedules only the
 	// benchmarks without a stored series. The checkpoint must match
-	// this config's scale, ladder, run mode and benchmark set.
+	// this config's scale, ladder, benchmark set, predictors, sample
+	// periods and learned model.
 	Resume bool
 	// Cache, when non-nil, memoizes expensive unit outputs in an
 	// on-disk content-addressed store keyed by image hash, tape
@@ -284,20 +280,19 @@ func EffectiveLadder(paperT []float64, scale float64) (sorted []float64, effecti
 // unit executed on a remote worker is bit-exact with the local path.
 func (c *Config) UnitOptions(thresholds []uint64, timing *core.Timing) core.Options {
 	return core.Options{
-		Thresholds:      thresholds,
-		PoolTrigger:     c.PoolTrigger,
-		Perf:            true,
-		IndependentRuns: c.IndependentRuns,
-		Timing:          timing,
-		Trace:           c.Trace,
-		Faults:          c.Faults,
-		MaxAttempts:     c.MaxAttempts,
-		RetryBackoff:    c.RetryBackoff,
-		Cache:           c.Cache,
-		CacheVerify:     c.CacheVerify,
-		Predictors:      c.Predictors,
-		SamplePeriods:   c.SamplePeriods,
-		Learned:         c.Learned,
+		Thresholds:    thresholds,
+		PoolTrigger:   c.PoolTrigger,
+		Perf:          true,
+		Timing:        timing,
+		Trace:         c.Trace,
+		Faults:        c.Faults,
+		MaxAttempts:   c.MaxAttempts,
+		RetryBackoff:  c.RetryBackoff,
+		Cache:         c.Cache,
+		CacheVerify:   c.CacheVerify,
+		Predictors:    c.Predictors,
+		SamplePeriods: c.SamplePeriods,
+		Learned:       c.Learned,
 		// Scale is the one study parameter that shapes results
 		// without being visible in image, tape or engine config
 		// (it clamps the effective ladder), so it anchors the key
