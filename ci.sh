@@ -171,6 +171,14 @@ awk '/^== figs2/ { infig = 1; next }
             exit 1
         }
     }' "$tmpdir/sp-cold.txt"
+# Partial hit: widening the sweep by one period misses exactly that
+# period's sp entry per benchmark, re-executes the trace once and checks
+# every entry that hit; the old periods' rows are unchanged.
+"$tmpdir/inipstudy" -scale 0.001 -bench gzip,swim -sampleperiods 1,4,16,64 \
+    -fig figs1,figs2 -cache "$tmpdir/spcache" \
+    > "$tmpdir/sp-64.txt" 2> "$tmpdir/sp-64.err"
+grep -q ' 2 misses, 2 stores, 0 errors$' "$tmpdir/sp-64.err"
+grep -v '^64 ' "$tmpdir/sp-64.txt" | cmp - "$tmpdir/sp-cold.txt"
 # full.txt is the kill-and-resume smoke's uninterrupted fig8 run of
 # the same configuration without sampling.
 "$tmpdir/inipstudy" -scale 0.001 -bench gzip,swim -sampleperiods 1,4,16 \
@@ -196,6 +204,8 @@ echo "== learned smoke (-race) =="
 "$tmpdir/inipstudy" -scale 0.001 -learned logreg -fig figl1,figl2 \
     -cache "$tmpdir/cache" -learnedjson "$tmpdir/lm-warm.json" \
     -benchjson "$tmpdir/lm-warm-perf.json" > "$tmpdir/lm-warm.txt" 2> /dev/null
+# One new ls entry per benchmark; every other entry hit.
+grep -q ' 26 misses, 26 stores, 0 errors$' "$tmpdir/lm-cold.err"
 cmp "$tmpdir/lm-cold.txt" "$tmpdir/lm-warm.txt"
 cmp "$tmpdir/lm-cold.json" "$tmpdir/lm-warm.json"
 grep -q '"blocks_executed": 0' "$tmpdir/lm-warm-perf.json"

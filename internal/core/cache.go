@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"strings"
 	"time"
 
 	"repro/internal/dbt"
@@ -169,15 +168,6 @@ func (b *benchRun) cacheLookup(k resultcache.Key, v any, worker int) bool {
 	return hit
 }
 
-// cacheStore publishes one clean unit output. A failed write is traced
-// and counted by the store but never fails the unit — the computed
-// result is correct either way, only its reuse is lost.
-func (b *benchRun) cacheStore(k resultcache.Key, v any, worker int) {
-	start := time.Now()
-	err := b.opts.Cache.Put(k, v)
-	b.opts.Trace.Record(b.t.Name, obs.UnitCacheStore, k.T, worker, start, time.Since(start), 0, err)
-}
-
 // cacheVerify compares a freshly computed unit output against the
 // cached entry for the same key. Both sides are canonicalized through
 // json.Marshal (deterministic: struct order, sorted map keys) so a
@@ -202,135 +192,20 @@ func (b *benchRun) cacheVerify(k resultcache.Key, computed, cached any) error {
 	return nil
 }
 
-// cacheSettle is the shared tail of every caching unit body: on a miss
-// the computed value is stored; on a verify-mode hit the computed value
-// is checked against the cached one. (A non-verify hit never reaches
-// the computation, so it never reaches here either.)
+// cacheSettle is the shared tail of every caching unit body: on a hit
+// that was computed anyway (verify mode, or a trace re-executed for
+// another entry's miss) the computed value is checked against the
+// cached one; on a miss it is stored. A failed write is traced and
+// counted by the store but never fails the unit — the computed result
+// is correct either way, only its reuse is lost.
 func (b *benchRun) cacheSettle(k resultcache.Key, hit bool, computed, cached any, worker int) error {
 	if hit {
 		return b.cacheVerify(k, computed, cached)
 	}
-	b.cacheStore(k, computed, worker)
+	start := time.Now()
+	err := b.opts.Cache.Put(k, computed)
+	b.opts.Trace.Record(b.t.Name, obs.UnitCacheStore, k.T, worker, start, time.Since(start), 0, err)
 	return nil
-}
-
-// cyclesOf extracts a run's perf-model total (0 with the model off).
-func cyclesOf(cfg dbt.Config) float64 {
-	if cfg.Perf != nil {
-		return cfg.Perf.Cycles
-	}
-	return 0
-}
-
-// refEntryMatches sanity-checks a decoded reference bundle against the
-// follower configs the pipeline is about to serve. The key fingerprint
-// already encodes the config set, so a mismatch indicates a damaged or
-// hand-edited entry; the caller treats it as a miss.
-func refEntryMatches(ent *refEntry, cfgs []dbt.Config) bool {
-	if ent.AVEP == nil || len(ent.Runs) != len(cfgs)-1 {
-		return false
-	}
-	for j, ro := range ent.Runs {
-		if ro.Snapshot == nil || ro.T != cfgs[j+1].Threshold {
-			return false
-		}
-	}
-	return true
-}
-
-// refCacheKey keys the reference bundle: one entry covers
-// the AVEP run and every distinct-threshold follower, so the engine
-// component joins all follower fingerprints in config order.
-func (b *benchRun) refCacheKey(imgHash string, cfgs []dbt.Config) resultcache.Key {
-	engines := make([]byte, 0, 64*len(cfgs))
-	for i, cfg := range cfgs {
-		if i > 0 {
-			engines = append(engines, '|')
-		}
-		engines = append(engines, cfg.Fingerprint()...)
-	}
-	return b.cacheKey("ref", imgHash, b.t.TapeID("ref"), string(engines), 0)
-}
-
-// bpEntryMatches sanity-checks a decoded predictor entry against the
-// requested predictor list; a mismatch is treated as a miss.
-func bpEntryMatches(ent *bpEntry, names []string) bool {
-	if len(ent.Results) != len(names) {
-		return false
-	}
-	for i, r := range ent.Results {
-		if r.Predictor != names[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// bpCacheKey keys the predictor tallies over the reference trace. The
-// engine component is the predictor list — the trace itself does not
-// depend on any translator configuration, only on image and tape.
-func (b *benchRun) bpCacheKey(imgHash string) resultcache.Key {
-	return b.cacheKey("bp", imgHash, b.t.TapeID("ref"),
-		"predictors="+strings.Join(b.opts.Predictors, ","), 0)
-}
-
-// lsEntryMatches sanity-checks a decoded learned-collection entry; a
-// mismatch (wrong fingerprint, wrong benchmark, or a feature width the
-// current extractor would not produce) is treated as a miss.
-func lsEntryMatches(ent *lsEntry, fingerprint, bench string) bool {
-	if ent.Fingerprint != fingerprint || ent.Data.Bench != bench {
-		return false
-	}
-	for i := range ent.Data.Sites {
-		if len(ent.Data.Sites[i].X) != learned.NumFeatures() {
-			return false
-		}
-	}
-	return true
-}
-
-// lsCacheKey keys the learned collection over the reference trace. The
-// engine component is the model-config fingerprint, which also carries
-// the feature-schema version; the collection itself depends only on
-// image and tape, so study runs and the daemon warm each other.
-func (b *benchRun) lsCacheKey(imgHash string) resultcache.Key {
-	return b.cacheKey("ls", imgHash, b.t.TapeID("ref"), b.opts.Learned.Fingerprint(), 0)
-}
-
-// spEntryMatches sanity-checks a decoded sampled-ladder entry against
-// the period and configs the pipeline is about to serve; a mismatch is
-// treated as a miss.
-func spEntryMatches(ent *spEntry, period uint64, cfgs []dbt.Config) bool {
-	if ent.Period != period || len(ent.Runs) != len(cfgs) {
-		return false
-	}
-	for j, ro := range ent.Runs {
-		if ro.Snapshot == nil || ro.T != cfgs[j].Threshold {
-			return false
-		}
-	}
-	return true
-}
-
-// spCacheKey keys one sampled-profiling ladder. Each config's
-// fingerprint already carries the period and seed (";sample=..."), so
-// the joined engine component pins the whole bundle; T carries the
-// period to keep entries of one sweep distinguishable in traces.
-func (b *benchRun) spCacheKey(imgHash string, period uint64, cfgs []dbt.Config) resultcache.Key {
-	engines := make([]byte, 0, 64*len(cfgs))
-	for i, cfg := range cfgs {
-		if i > 0 {
-			engines = append(engines, '|')
-		}
-		engines = append(engines, cfg.Fingerprint()...)
-	}
-	return b.cacheKey("sp", imgHash, b.t.TapeID("ref"), string(engines), period)
-}
-
-// runCacheKey keys one standalone profiled execution (the training
-// run).
-func (b *benchRun) runCacheKey(imgHash, input string, cfg dbt.Config) resultcache.Key {
-	return b.cacheKey("run", imgHash, b.t.TapeID(input), cfg.Fingerprint(), cfg.Threshold)
 }
 
 // cmpCacheKey keys one INIP(T)-vs-AVEP comparison. Both sides' configs

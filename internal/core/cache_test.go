@@ -490,3 +490,71 @@ func TestCacheVerifyAllKinds(t *testing.T) {
 		t.Fatal("verify-mode all-axes result differs from cold")
 	}
 }
+
+// TestCacheMismatchedEntriesAreMisses forges, for each trace consumer's
+// kind, an entry the store serves (valid checksum) but whose shape does
+// not match what the unit is about to serve. The consumer's match check
+// turns it into a miss: the warm rerun re-executes, equals the cold run
+// and rewrites exactly that entry.
+func TestCacheMismatchedEntriesAreMisses(t *testing.T) {
+	target := BuildFromAsm("stationary", stationarySrc(3000, 6144))
+	warm := t.TempDir()
+	opts, _ := allAxesCacheOpts(t, warm)
+	cold := runCached(t, target, opts)
+
+	var (
+		ref refEntry
+		sp  spEntry
+		bp  bpEntry
+		ls  lsEntry
+		run runOutput
+	)
+	forges := []struct {
+		kind   string
+		v      any
+		mutate func()
+	}{
+		{"ref", &ref, func() { ref.Runs = ref.Runs[:1] }},
+		{"sp", &sp, func() { sp.Period++ }},
+		{"bp", &bp, func() { bp.Results[0].Predictor = "other" }},
+		{"ls", &ls, func() { ls.Data.Bench = "other" }},
+		{"run", &run, func() { run.Snapshot = nil }},
+	}
+	for _, f := range forges {
+		t.Run(f.kind, func(t *testing.T) {
+			dir := copyCache(t, warm)
+			forgeEntry(t, dir, f.kind, f.v, f.mutate)
+			opts2, tm := allAxesCacheOpts(t, dir)
+			got := runCached(t, target, opts2)
+			if !reflect.DeepEqual(got, cold) {
+				t.Fatal("rerun over a mismatched entry differs from the cold run")
+			}
+			if tm.BlocksExecuted.Load() == 0 {
+				t.Fatal("a mismatched entry was replayed")
+			}
+			if c := opts2.Cache.Counters(); c.Stores != 1 || c.Misses != 0 || c.Errors != 0 {
+				t.Fatalf("counters %+v, want the mismatched entry rewritten and nothing else", c)
+			}
+		})
+	}
+}
+
+// copyCache copies a cache directory's entry files into a fresh one.
+func copyCache(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}

@@ -558,11 +558,14 @@ func scheduleBenchmark(s *Scheduler, t Target, opts Options, onDone func(*Benchm
 	return b
 }
 
-// dbtConfig attaches the scheduler's cancellation channel and any
-// armed guest-trap fault for this (bench, input).
+// dbtConfig attaches the scheduler's cancellation channel (none for
+// CollectLearnedData, which runs without a scheduler) and any armed
+// guest-trap fault for this (bench, input).
 func (b *benchRun) dbtConfig(input string, threshold uint64, optimize bool) dbt.Config {
 	cfg := b.opts.dbtConfig(input, threshold, optimize)
-	cfg.Interrupt = b.s.Done()
+	if b.s != nil {
+		cfg.Interrupt = b.s.Done()
+	}
 	if n, ok := b.opts.Faults.Trap(b.t.Name, input); ok {
 		cfg.TrapAfter = n
 	}
@@ -706,49 +709,6 @@ func (b *benchRun) retireTrainCompareOnce() {
 	}
 }
 
-// suiteObserver adapts a predict.Suite to the dbt trace observer: one
-// Record call per resolved conditional branch, in architectural order.
-type suiteObserver struct{ suite *predict.Suite }
-
-func (o suiteObserver) ObserveBranches(evs []dbt.BranchEvent) {
-	for _, ev := range evs {
-		o.suite.Record(ev.PC, ev.Taken)
-	}
-}
-
-// newPredictSuite builds the requested predictor set and its trace
-// observer. Unknown names are a unit error here — study.Config and the
-// flag layer validate earlier, so this guards direct API use.
-func newPredictSuite(names []string) (*predict.Suite, []dbt.TraceObserver, error) {
-	if len(names) == 0 {
-		return nil, nil, nil
-	}
-	suite, err := predict.NewSuite(names)
-	if err != nil {
-		return nil, nil, err
-	}
-	return suite, []dbt.TraceObserver{suiteObserver{suite}}, nil
-}
-
-// newLearnedCollector extracts the static branch-site features and
-// builds the tally observer for the learned predictor class. It returns
-// no observer when the class is off. Extraction is pure static analysis
-// of the image (internal/cfg + a successor-closure walk), traced under
-// its own flight-recorder unit.
-func (b *benchRun) newLearnedCollector(img *guest.Image, worker int) (*learned.Collector, []dbt.TraceObserver, error) {
-	if b.opts.Learned == nil {
-		return nil, nil, nil
-	}
-	start := time.Now()
-	sites, err := learned.ExtractSites(img)
-	b.record(obs.UnitLearnedCollect, 0, worker, start, 0, err)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: learned feature extraction of %s: %w", b.t.Name, err)
-	}
-	col := learned.NewCollector(sites)
-	return col, []dbt.TraceObserver{col}, nil
-}
-
 // distinctRungs deduplicates the threshold ladder: a ladder scaled far
 // down collapses — several paper-unit rungs clamp to the same effective
 // threshold — and identical configs would run identical engines. It
@@ -770,20 +730,6 @@ func (b *benchRun) distinctRungs() (distinct []uint64, rungs [][]int) {
 	return distinct, rungs
 }
 
-// sampleConfigs builds one sampled-profiling period's configs over the
-// distinct thresholds: the INIP(T) config with the sampling stride
-// switched on.
-func (b *benchRun) sampleConfigs(period uint64, distinct []uint64) []dbt.Config {
-	cfgs := make([]dbt.Config, len(distinct))
-	for j, threshold := range distinct {
-		cfg := b.dbtConfig("ref", threshold, true)
-		cfg.SamplePeriod = period
-		cfg.SampleSeed = b.opts.SampleSeed
-		cfgs[j] = cfg
-	}
-	return cfgs
-}
-
 // refUnit produces the AVEP snapshot and every INIP(T) snapshot in one
 // guest execution, then fans out the comparison units.
 func (b *benchRun) refUnit(worker int) error {
@@ -793,200 +739,58 @@ func (b *benchRun) refUnit(worker int) error {
 	return err
 }
 
-// refBody looks up the ref, bp, ls and sp cache entries; when all of
-// them hit it replays the bundle, otherwise it runs the union of every
-// config and observer over one guest execution and settles each entry.
+// refBody serves the reference bundle (AVEP and the deduplicated
+// ladder), the predictor tallies, the learned collection and every
+// sampled ladder from one reference trace, then spawns the comparisons.
 func (b *benchRun) refBody(worker int) error {
-	start := time.Now()
-	img, tape, err := b.build.get("ref")
-	b.record(obs.UnitBuild, 0, worker, start, 0, err)
-	if err != nil {
-		return err
-	}
-	useCache := b.cacheUsable()
-	if useCache {
-		b.refImgHash = img.ContentHash()
-	}
-
-	// Dynamic predictors observe the reference trace; their tally is
-	// threshold-independent and lives under its own cache entry, so a
-	// warm rerun replays it without executing a guest block. A bp miss
-	// with a warm reference entry falls back to the cold path — the
-	// trace must be re-executed once to feed the predictors.
-	preds := b.opts.Predictors
-	var bpKey resultcache.Key
-	var bpCached bpEntry
-	bpHit := false
-	if useCache && len(preds) > 0 {
-		bpKey = b.bpCacheKey(b.refImgHash)
-		bpHit = b.cacheLookup(bpKey, &bpCached, worker) && bpEntryMatches(&bpCached, preds)
-	}
-
-	// The learned-predictor collection rides the same trace under its
-	// own threshold-independent entry, exactly like bp: a warm rerun
-	// replays it, a miss forces the cold path so the tallies can be
-	// re-observed.
-	var lsKey resultcache.Key
-	var lsCached lsEntry
-	lsHit := false
-	if useCache && b.opts.Learned != nil {
-		lsKey = b.lsCacheKey(b.refImgHash)
-		lsHit = b.cacheLookup(lsKey, &lsCached, worker) &&
-			lsEntryMatches(&lsCached, b.opts.Learned.Fingerprint(), b.t.Name)
-	}
-
 	// Deduplicate the ladder (see distinctRungs): one follower per
 	// distinct threshold, shared results fanned out to every collapsed
 	// rung.
 	distinct, rungs := b.distinctRungs()
-	avepCfg := b.dbtConfig("ref", 0, false)
-	cfgs := make([]dbt.Config, 0, len(distinct)+1)
-	cfgs = append(cfgs, avepCfg)
+	ref := &refConsumer{followers: followers{b, make([]dbt.Config, 0, len(distinct)+1)}}
+	ref.cfgs = append(ref.cfgs, b.dbtConfig("ref", 0, false))
 	for _, threshold := range distinct {
-		cfgs = append(cfgs, b.dbtConfig("ref", threshold, true))
+		ref.cfgs = append(ref.cfgs, b.dbtConfig("ref", threshold, true))
 	}
-	// Sampled ladders ride the same reference trace as additional
-	// followers — the guest still executes exactly once — and each
-	// period has its own cache entry, so the sweep warms incrementally
-	// and the main reference bundle's entry stays byte-identical to a
-	// run without sampling.
-	periods := b.opts.SamplePeriods
-	spCfgs := make([][]dbt.Config, len(periods))
-	spKeys := make([]resultcache.Key, len(periods))
-	spCached := make([]spEntry, len(periods))
-	spHits := make([]bool, len(periods))
-	allSpHit := true
-	for pi, period := range periods {
-		spCfgs[pi] = b.sampleConfigs(period, distinct)
-		if useCache {
-			spKeys[pi] = b.spCacheKey(b.refImgHash, period, spCfgs[pi])
-			spHits[pi] = b.cacheLookup(spKeys[pi], &spCached[pi], worker) && spEntryMatches(&spCached[pi], period, spCfgs[pi])
-		}
-		allSpHit = allSpHit && spHits[pi]
+	cs := []traceConsumer{ref}
+	if len(b.opts.Predictors) > 0 {
+		cs = append(cs, &bpConsumer{b: b})
 	}
-	var key resultcache.Key
-	var cached refEntry
-	hit := false
-	if useCache {
-		key = b.refCacheKey(b.refImgHash, cfgs)
-		hit = b.cacheLookup(key, &cached, worker) && refEntryMatches(&cached, cfgs)
+	if b.opts.Learned != nil {
+		cs = append(cs, &lsConsumer{b: b})
 	}
-
-	var avep *profile.Snapshot
-	var avepCycles float64
-	var outs []runOutput
-	spOuts := make([][]runOutput, len(periods))
-	if hit && (len(preds) == 0 || bpHit) && (b.opts.Learned == nil || lsHit) && allSpHit && !b.opts.CacheVerify {
-		// Warm path: replay the whole reference bundle without
-		// executing a single guest block. addRunStats is deliberately
-		// not called — a fully cached benchmark reports zero blocks.
-		if len(preds) > 0 {
-			b.out.Predictors = bpCached.Results
+	sps := make([]*spConsumer, len(b.opts.SamplePeriods))
+	for pi, period := range b.opts.SamplePeriods {
+		sp := &spConsumer{followers: followers{b, make([]dbt.Config, len(distinct))}, period: period}
+		for j, threshold := range distinct {
+			sp.cfgs[j] = b.dbtConfig("ref", threshold, true)
+			sp.cfgs[j].SamplePeriod = period
+			sp.cfgs[j].SampleSeed = b.opts.SampleSeed
 		}
-		if b.opts.Learned != nil {
-			data := lsCached.Data
-			b.out.Learned = &data
-		}
-		avep, avepCycles, outs = cached.AVEP, cached.AVEPCycles, cached.Runs
-		for pi := range periods {
-			spOuts[pi] = spCached[pi].Runs
-		}
-	} else {
-		suite, observers, err := newPredictSuite(preds)
-		if err != nil {
-			return err
-		}
-		col, lobs, err := b.newLearnedCollector(img, worker)
-		if err != nil {
-			return err
-		}
-		observers = append(observers, lobs...)
-		runCfgs := cfgs
-		for _, sc := range spCfgs {
-			runCfgs = append(runCfgs, sc...)
-		}
-		start = time.Now()
-		snaps, stats, err := dbt.RunMultiObserved(img, tape, runCfgs, observers)
-		if err != nil {
-			err = fmt.Errorf("core: reference runs of %s: %w", b.t.Name, err)
-			b.record(obs.UnitRef, 0, worker, start, 0, err)
-			return err
-		}
-		for _, st := range stats {
-			b.addRunStats(st)
-		}
-		b.recordRun(obs.UnitRef, 0, worker, start, stats...)
-		output := func(k int) runOutput {
-			cfg := runCfgs[k]
-			return runOutput{T: cfg.Threshold, Snapshot: snaps[k], Stats: *stats[k], Cycles: cyclesOf(cfg)}
-		}
-		avep, avepCycles = snaps[0], cyclesOf(avepCfg)
-		outs = make([]runOutput, len(rungs))
-		for j := range rungs {
-			outs[j] = output(1 + j)
-		}
-		for pi := range periods {
-			spOuts[pi] = make([]runOutput, len(rungs))
-			for j := range rungs {
-				k := 1 + (pi+1)*len(rungs) + j
-				spOuts[pi][j] = output(k)
-				b.addSampleStats(snaps[k])
-			}
-		}
-		if suite != nil {
-			b.out.Predictors = suite.Results()
-		}
-		if col != nil {
-			data := col.BenchData(b.t.Name)
-			b.out.Learned = &data
-		}
-		// Settle every entry (store on a miss, check on a verify-mode
-		// hit) before any comparison is spawned, so a failed check fails
-		// the unit while every ladder item is still its own to retire.
-		if useCache {
-			if err := b.cacheSettle(key, hit, refEntry{AVEP: avep, AVEPStats: *stats[0], AVEPCycles: avepCycles, Runs: outs}, cached, worker); err != nil {
-				return err
-			}
-			if suite != nil {
-				if err := b.cacheSettle(bpKey, bpHit, bpEntry{Results: b.out.Predictors}, bpCached, worker); err != nil {
-					return err
-				}
-			}
-			if col != nil {
-				if err := b.cacheSettle(lsKey, lsHit, lsEntry{Fingerprint: b.opts.Learned.Fingerprint(), Data: *b.out.Learned}, lsCached, worker); err != nil {
-					return err
-				}
-			}
-			for pi, period := range periods {
-				if err := b.cacheSettle(spKeys[pi], spHits[pi], spEntry{Period: period, Runs: spOuts[pi]}, spCached[pi], worker); err != nil {
-					return err
-				}
-			}
-		}
+		sps[pi] = sp
+		cs = append(cs, sp)
 	}
-	b.recordAVEP(avep, avepCycles)
+	if err := b.runTrace("ref", obs.UnitRef, "reference runs", worker, cs...); err != nil {
+		return err
+	}
+	// Fill the AVEP memo the comparisons read before spawning any of
+	// them: the spawn's happens-before edge makes their lock-free reads
+	// of b.out.AVEP safe.
+	b.out.AVEP, b.out.AVEPCycles = ref.avep, ref.avepCycles
+	b.mu.Lock()
+	b.avep = ref.avep
+	b.mu.Unlock()
 	for j := range rungs {
-		idxs, ro := rungs[j], outs[j]
+		idxs, ro := rungs[j], ref.outs[j]
 		b.s.GoW(func(w int) error { return b.compareUnit(idxs, ro, w) })
 	}
-	for pi := range periods {
-		spo := spOuts[pi]
+	for pi, sp := range sps {
+		spo := sp.outs
 		b.s.GoW(func(w int) error { return b.sampleCompareUnit(pi, rungs, spo, w) })
 	}
 	b.maybeCompareTrain(worker)
 	b.finishItem()
 	return nil
-}
-
-// recordAVEP fills the once-per-benchmark memo the comparison stages
-// read. The write happens before any comparison unit is spawned, which
-// is what makes the lock-free reads in compareUnit safe.
-func (b *benchRun) recordAVEP(avep *profile.Snapshot, cycles float64) {
-	b.out.AVEP = avep
-	b.out.AVEPCycles = cycles
-	b.mu.Lock()
-	b.avep = avep
-	b.mu.Unlock()
 }
 
 // compareUnit is the scheduled comparison of one distinct threshold.
@@ -1114,46 +918,13 @@ func (b *benchRun) trainUnit(worker int) error {
 }
 
 func (b *benchRun) trainBody(worker int) error {
-	start := time.Now()
-	img, tape, err := b.build.get("train")
-	b.record(obs.UnitBuild, 0, worker, start, 0, err)
-	if err != nil {
+	run := &runConsumer{followers: followers{b, []dbt.Config{b.dbtConfig("train", 0, false)}}}
+	if err := b.runTrace("train", obs.UnitTrain, "train run", worker, run); err != nil {
 		return err
 	}
-	cfg := b.dbtConfig("train", 0, false)
-	useCache := b.cacheUsable()
-	var key resultcache.Key
-	var cached runOutput
-	hit := false
-	if useCache {
-		b.trainImgHash = img.ContentHash()
-		key = b.runCacheKey(b.trainImgHash, "train", cfg)
-		hit = b.cacheLookup(key, &cached, worker) && cached.Snapshot != nil
-	}
-	var train *profile.Snapshot
-	if hit && !b.opts.CacheVerify {
-		train = cached.Snapshot
-	} else {
-		start = time.Now()
-		var stats *dbt.RunStats
-		train, stats, err = dbt.Run(img, tape, cfg)
-		if err != nil {
-			err = fmt.Errorf("core: train run of %s: %w", b.t.Name, err)
-			b.record(obs.UnitTrain, 0, worker, start, 0, err)
-			return err
-		}
-		b.addRunStats(stats)
-		b.recordRun(obs.UnitTrain, 0, worker, start, stats)
-		if useCache {
-			computed := runOutput{Snapshot: train, Stats: *stats, Cycles: cyclesOf(cfg)}
-			if err := b.cacheSettle(key, hit, computed, cached, worker); err != nil {
-				return err
-			}
-		}
-	}
-	b.out.TrainOps = train.ProfilingOps
+	b.out.TrainOps = run.snap.ProfilingOps
 	b.mu.Lock()
-	b.train = train
+	b.train = run.snap
 	b.mu.Unlock()
 	b.maybeCompareTrain(worker)
 	b.finishItem()
@@ -1255,54 +1026,10 @@ func CollectLearnedData(t Target, lcfg learned.Config, opts Options) (*learned.B
 	}
 	opts.Learned = &lcfg
 	b := &benchRun{t: t, opts: opts, out: &BenchmarkResult{Name: t.Name}, build: newBuildCache(t, opts.Faults)}
-	const worker = 0
-	start := time.Now()
-	img, tape, err := b.build.get("ref")
-	b.record(obs.UnitBuild, 0, worker, start, 0, err)
-	if err != nil {
+	if err := b.runTrace("ref", obs.UnitRef, "learned collection run", 0, &lsConsumer{b: b}); err != nil {
 		return nil, err
 	}
-	useCache := b.cacheUsable()
-	var lsKey resultcache.Key
-	var lsCached lsEntry
-	lsHit := false
-	if useCache {
-		b.refImgHash = img.ContentHash()
-		lsKey = b.lsCacheKey(b.refImgHash)
-		lsHit = b.cacheLookup(lsKey, &lsCached, worker) &&
-			lsEntryMatches(&lsCached, lcfg.Fingerprint(), t.Name)
-		if lsHit && !opts.CacheVerify {
-			data := lsCached.Data
-			return &data, nil
-		}
-	}
-	col, observers, err := b.newLearnedCollector(img, worker)
-	if err != nil {
-		return nil, err
-	}
-	// No scheduler here, so build the config at the Options level (no
-	// cancellation channel to attach); the fault trap still arms so
-	// perturbed runs stay out of the cache like everywhere else.
-	cfg := b.opts.dbtConfig("ref", 0, false)
-	if n, ok := b.opts.Faults.Trap(t.Name, "ref"); ok {
-		cfg.TrapAfter = n
-	}
-	start = time.Now()
-	_, stats, err := dbt.RunMultiObserved(img, tape, []dbt.Config{cfg}, observers)
-	if err != nil {
-		err = fmt.Errorf("core: learned collection run of %s: %w", t.Name, err)
-		b.record(obs.UnitRef, 0, worker, start, 0, err)
-		return nil, err
-	}
-	b.addRunStats(stats[0])
-	b.recordRun(obs.UnitRef, 0, worker, start, stats...)
-	data := col.BenchData(t.Name)
-	if useCache {
-		if err := b.cacheSettle(lsKey, lsHit, lsEntry{Fingerprint: lcfg.Fingerprint(), Data: data}, lsCached, worker); err != nil {
-			return nil, err
-		}
-	}
-	return &data, nil
+	return b.out.Learned, nil
 }
 
 // BuildFromAsm is a convenience Target builder for fixed assembler

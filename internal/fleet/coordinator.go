@@ -16,6 +16,7 @@ import (
 	"repro/internal/atomicio"
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/promtext"
 	"repro/internal/study"
 )
 
@@ -721,24 +722,18 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, _ *http.Request) {
 // handleMetrics renders the fleet counters in the Prometheus text
 // exposition format, mirroring internal/serve's metric idiom.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	var b strings.Builder
-	gauge := func(name, help string, v any) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
-	}
-	counter := func(name, help string, v any) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %v\n", name, help, name, name, v)
-	}
+	var b promtext.Writer
 	m := c.Counters()
-	counter("fleet_lease_grants_total", "unit leases granted to workers", m.Grants)
-	counter("fleet_lease_expiries_total", "leases revoked past their deadline", m.Expiries)
-	counter("fleet_lease_reassignments_total", "grants of units that already lost at least one lease", m.Reassignments)
-	counter("fleet_heartbeats_total", "lease heartbeats accepted", m.Heartbeats)
-	gauge("fleet_heartbeat_lag_max_seconds", "largest observed gap between heartbeats of a live lease", fmt.Sprintf("%.3f", m.MaxHeartbeatLag.Seconds()))
-	counter("fleet_completions_total", "unit completions that settled their unit", m.Completions)
-	counter("fleet_late_completions_total", "settling completions that arrived after their lease expired", m.Late)
-	counter("fleet_duplicate_completions_total", "completions dropped because the unit was already settled", m.Duplicates)
-	counter("fleet_attempt_failures_total", "worker-reported failed attempts", m.AttemptFailures)
-	counter("fleet_units_failed_total", "units failed after exhausting their lease attempts", m.UnitsFailed)
+	b.Counter("fleet_lease_grants_total", "unit leases granted to workers", m.Grants)
+	b.Counter("fleet_lease_expiries_total", "leases revoked past their deadline", m.Expiries)
+	b.Counter("fleet_lease_reassignments_total", "grants of units that already lost at least one lease", m.Reassignments)
+	b.Counter("fleet_heartbeats_total", "lease heartbeats accepted", m.Heartbeats)
+	b.Gauge("fleet_heartbeat_lag_max_seconds", "largest observed gap between heartbeats of a live lease", fmt.Sprintf("%.3f", m.MaxHeartbeatLag.Seconds()))
+	b.Counter("fleet_completions_total", "unit completions that settled their unit", m.Completions)
+	b.Counter("fleet_late_completions_total", "settling completions that arrived after their lease expired", m.Late)
+	b.Counter("fleet_duplicate_completions_total", "completions dropped because the unit was already settled", m.Duplicates)
+	b.Counter("fleet_attempt_failures_total", "worker-reported failed attempts", m.AttemptFailures)
+	b.Counter("fleet_units_failed_total", "units failed after exhausting their lease attempts", m.UnitsFailed)
 
 	c.mu.Lock()
 	states := map[string]int{}
@@ -747,19 +742,10 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	nworkers := len(c.workers)
 	c.mu.Unlock()
-	fmt.Fprintf(&b, "# HELP fleet_units units by lease state\n# TYPE fleet_units gauge\n")
-	keys := make([]string, 0, len(states))
-	for st := range states {
-		keys = append(keys, st)
-	}
-	sort.Strings(keys)
-	for _, st := range keys {
-		fmt.Fprintf(&b, "fleet_units{state=%q} %d\n", st, states[st])
-	}
-	gauge("fleet_workers", "distinct workers seen by this coordinator", nworkers)
+	b.GaugeByLabel("fleet_units", "units by lease state", "state", states)
+	b.Gauge("fleet_workers", "distinct workers seen by this coordinator", nworkers)
 
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprint(w, b.String())
+	b.Serve(w)
 }
 
 // --- small HTTP helpers ---

@@ -9,7 +9,7 @@ import (
 	"repro/internal/spec"
 )
 
-// suiteObserver mirrors the adapter internal/core uses: one Record per
+// suiteObserver mirrors the observer of internal/core's bp consumer: one Record per
 // resolved branch, in architectural order.
 type suiteObserver struct{ suite *predict.Suite }
 

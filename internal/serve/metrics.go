@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
+	"repro/internal/promtext"
 	"repro/internal/study"
 )
 
@@ -61,33 +61,26 @@ func (s *Server) recordJobPerf(p study.Perf) {
 // study.Perf of finished jobs, result-cache and flight-recorder
 // accounting, and job-state gauges.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	var b strings.Builder
-
-	gauge := func(name, help string, v any) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
-	}
-	counter := func(name, help string, v any) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %v\n", name, help, name, name, v)
-	}
+	var b promtext.Writer
 
 	ready := 1
 	if s.draining.Load() || s.sched.Stopped() {
 		ready = 0
 	}
-	gauge("inipd_ready", "1 while the daemon admits new work", ready)
-	gauge("inipd_uptime_seconds", "seconds since the daemon started", fmt.Sprintf("%.3f", time.Since(s.start).Seconds()))
-	gauge("inipd_scheduler_workers", "size of the shared comparison worker pool", s.sched.Workers())
+	b.Gauge("inipd_ready", "1 while the daemon admits new work", ready)
+	b.Gauge("inipd_uptime_seconds", "seconds since the daemon started", fmt.Sprintf("%.3f", time.Since(s.start).Seconds()))
+	b.Gauge("inipd_scheduler_workers", "size of the shared comparison worker pool", s.sched.Workers())
 
-	counter("inipd_compare_requests_total", "POST /v1/compare requests received", s.m.compareRequests.Load())
-	counter("inipd_compare_ok_total", "compare requests answered 200", s.m.compareOK.Load())
-	counter("inipd_compare_overload_total", "compare requests rejected 429 at admission", s.m.compareOverload.Load())
-	counter("inipd_compare_deadline_total", "compare requests expired 504", s.m.compareDeadline.Load())
-	counter("inipd_compare_coalesced_total", "compare requests served from another caller's in-flight work", s.m.compareCoalesced.Load())
-	counter("inipd_compare_warm_total", "compare responses served with zero guest blocks executed", s.m.compareWarm.Load())
-	counter("inipd_compare_errors_total", "compare requests answered 5xx (excluding deadlines)", s.m.compareErrors.Load())
-	counter("inipd_compare_guest_blocks_total", "guest blocks executed by compare requests", s.m.guestBlocks.Load())
-	counter("inipd_study_requests_total", "POST /v1/study requests received", s.m.studyRequests.Load())
-	counter("inipd_job_records_dropped_total", "corrupt jobs.json tails salvaged at startup (leading records kept)", s.jobs.recordsDropped)
+	b.Counter("inipd_compare_requests_total", "POST /v1/compare requests received", s.m.compareRequests.Load())
+	b.Counter("inipd_compare_ok_total", "compare requests answered 200", s.m.compareOK.Load())
+	b.Counter("inipd_compare_overload_total", "compare requests rejected 429 at admission", s.m.compareOverload.Load())
+	b.Counter("inipd_compare_deadline_total", "compare requests expired 504", s.m.compareDeadline.Load())
+	b.Counter("inipd_compare_coalesced_total", "compare requests served from another caller's in-flight work", s.m.compareCoalesced.Load())
+	b.Counter("inipd_compare_warm_total", "compare responses served with zero guest blocks executed", s.m.compareWarm.Load())
+	b.Counter("inipd_compare_errors_total", "compare requests answered 5xx (excluding deadlines)", s.m.compareErrors.Load())
+	b.Counter("inipd_compare_guest_blocks_total", "guest blocks executed by compare requests", s.m.guestBlocks.Load())
+	b.Counter("inipd_study_requests_total", "POST /v1/study requests received", s.m.studyRequests.Load())
+	b.Counter("inipd_job_records_dropped_total", "corrupt jobs.json tails salvaged at startup (leading records kept)", s.jobs.recordsDropped)
 
 	s.perf.mu.Lock()
 	jobs, wall, blocks := s.perf.jobs, s.perf.wallSeconds, s.perf.blocksExecuted
@@ -96,20 +89,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	runSecs := s.perf.runSeconds
 	sampledUnits, sampledStudyOps := s.perf.sampledUnits, s.perf.sampledProfilingOps
 	s.perf.mu.Unlock()
-	counter("inipd_study_jobs_finished_total", "study jobs completed by this process", jobs)
-	counter("inipd_study_wall_seconds_total", "summed wall-clock of finished study jobs", fmt.Sprintf("%.3f", wall))
-	counter("inipd_study_guest_blocks_total", "guest blocks executed by finished study jobs", blocks)
-	counter("inipd_study_unit_failures_total", "absorbed unit failures across finished jobs", fails)
-	counter("inipd_study_unit_retries_total", "unit retry attempts across finished jobs", retries)
-	counter("inipd_study_resumed_series_total", "benchmark series restored from checkpoints instead of re-executed", resumed)
-	counter("inipd_study_fast_dispatches_total", "blocks executed through the pre-lowered arena fast path", fast)
-	counter("inipd_study_generic_dispatches_total", "blocks executed through the generic interp dispatch", generic)
-	counter("inipd_study_cache_lookups_total", "translation-cache probes (successor threading keeps this below the block count)", lookups)
+	b.Counter("inipd_study_jobs_finished_total", "study jobs completed by this process", jobs)
+	b.Counter("inipd_study_wall_seconds_total", "summed wall-clock of finished study jobs", fmt.Sprintf("%.3f", wall))
+	b.Counter("inipd_study_guest_blocks_total", "guest blocks executed by finished study jobs", blocks)
+	b.Counter("inipd_study_unit_failures_total", "absorbed unit failures across finished jobs", fails)
+	b.Counter("inipd_study_unit_retries_total", "unit retry attempts across finished jobs", retries)
+	b.Counter("inipd_study_resumed_series_total", "benchmark series restored from checkpoints instead of re-executed", resumed)
+	b.Counter("inipd_study_fast_dispatches_total", "blocks executed through the pre-lowered arena fast path", fast)
+	b.Counter("inipd_study_generic_dispatches_total", "blocks executed through the generic interp dispatch", generic)
+	b.Counter("inipd_study_cache_lookups_total", "translation-cache probes (successor threading keeps this below the block count)", lookups)
 	bps := 0.0
 	if runSecs > 0 {
 		bps = float64(blocks) / runSecs
 	}
-	gauge("inipd_study_blocks_per_second", "hot-loop throughput: guest blocks over run-unit wall-clock of finished jobs", fmt.Sprintf("%.1f", bps))
+	b.Gauge("inipd_study_blocks_per_second", "hot-loop throughput: guest blocks over run-unit wall-clock of finished jobs", fmt.Sprintf("%.1f", bps))
 
 	s.predMu.Lock()
 	predNames := make([]string, 0, len(s.predTotals))
@@ -128,24 +121,24 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	s.predMu.Unlock()
 	if len(predRows) > 0 {
-		fmt.Fprintf(&b, "# HELP inipd_predictor_branches_total branches observed per dynamic predictor across compare requests\n# TYPE inipd_predictor_branches_total counter\n")
+		b.Header("inipd_predictor_branches_total", "counter", "branches observed per dynamic predictor across compare requests")
 		for _, row := range predRows {
-			fmt.Fprintf(&b, "inipd_predictor_branches_total{predictor=%q} %d\n", row.name, row.branches)
+			b.Sample("inipd_predictor_branches_total", "predictor", row.name, row.branches)
 		}
-		fmt.Fprintf(&b, "# HELP inipd_predictor_mispredicts_total mispredictions per dynamic predictor across compare requests\n# TYPE inipd_predictor_mispredicts_total counter\n")
+		b.Header("inipd_predictor_mispredicts_total", "counter", "mispredictions per dynamic predictor across compare requests")
 		for _, row := range predRows {
-			fmt.Fprintf(&b, "inipd_predictor_mispredicts_total{predictor=%q} %d\n", row.name, row.mispredicts)
+			b.Sample("inipd_predictor_mispredicts_total", "predictor", row.name, row.mispredicts)
 		}
 		// Guarded like blocks-per-second: an empty branch stream (a
 		// degenerate benchmark, never a warm hit — tallies replay fully
 		// populated) exports 0, not NaN.
-		fmt.Fprintf(&b, "# HELP inipd_predictor_mispredict_rate mispredict rate per dynamic predictor across compare requests\n# TYPE inipd_predictor_mispredict_rate gauge\n")
+		b.Header("inipd_predictor_mispredict_rate", "gauge", "mispredict rate per dynamic predictor across compare requests")
 		for _, row := range predRows {
 			rate := 0.0
 			if row.branches > 0 {
 				rate = float64(row.mispredicts) / float64(row.branches)
 			}
-			fmt.Fprintf(&b, "inipd_predictor_mispredict_rate{predictor=%q} %.6f\n", row.name, rate)
+			b.Sample("inipd_predictor_mispredict_rate", "predictor", row.name, fmt.Sprintf("%.6f", rate))
 		}
 	}
 
@@ -153,70 +146,61 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	// ran — a sampling-less process keeps the legacy exposition
 	// byte-identical.
 	if sc := s.m.sampledCompares.Load(); sc > 0 {
-		counter("inipd_compare_sampled_total", "compare requests that ran a sampled-profiling rerun", sc)
+		b.Counter("inipd_compare_sampled_total", "compare requests that ran a sampled-profiling rerun", sc)
 		sOps, fOps := s.m.sampledOps.Load(), s.m.sampledFullOps.Load()
-		counter("inipd_sampled_profiling_ops_total", "counter updates performed by sampled compare reruns", sOps)
-		counter("inipd_sampled_full_profiling_ops_total", "counter updates performed by the matching full-instrumentation runs", fOps)
+		b.Counter("inipd_sampled_profiling_ops_total", "counter updates performed by sampled compare reruns", sOps)
+		b.Counter("inipd_sampled_full_profiling_ops_total", "counter updates performed by the matching full-instrumentation runs", fOps)
 		// Guarded like blocks-per-second: a full ladder with zero
 		// profiling operations exports 0, not NaN.
 		ratio := 0.0
 		if fOps > 0 {
 			ratio = float64(sOps) / float64(fOps)
 		}
-		gauge("inipd_sampled_cost_ratio", "aggregate sampled over full-instrumentation counter-update ratio of compare reruns", fmt.Sprintf("%.6f", ratio))
+		b.Gauge("inipd_sampled_cost_ratio", "aggregate sampled over full-instrumentation counter-update ratio of compare reruns", fmt.Sprintf("%.6f", ratio))
 	}
 	// Learned-model accounting, same emit-only-when-used contract.
 	if lc := s.m.learnedCompares.Load(); lc > 0 {
-		counter("inipd_learned_compares_total", "compare requests that scored the held-out learned static model", lc)
+		b.Counter("inipd_learned_compares_total", "compare requests that scored the held-out learned static model", lc)
 		branches := s.m.learnedBranches.Load()
 		mis := s.m.learnedMispredicts.Load()
 		takenMis := s.m.learnedTakenMispredicts.Load()
-		counter("inipd_learned_branches_total", "held-out branches scored by the learned model across compare requests", branches)
-		counter("inipd_learned_mispredicts_total", "held-out learned-model mispredictions across compare requests", mis)
-		counter("inipd_learned_taken_mispredicts_total", "always-taken baseline mispredictions on the same held-out streams", takenMis)
+		b.Counter("inipd_learned_branches_total", "held-out branches scored by the learned model across compare requests", branches)
+		b.Counter("inipd_learned_mispredicts_total", "held-out learned-model mispredictions across compare requests", mis)
+		b.Counter("inipd_learned_taken_mispredicts_total", "always-taken baseline mispredictions on the same held-out streams", takenMis)
 		// Guarded like blocks-per-second: an empty stream exports 0, not NaN.
 		rate := 0.0
 		if branches > 0 {
 			rate = float64(mis) / float64(branches)
 		}
-		gauge("inipd_learned_mispredict_rate", "aggregate held-out learned-model mispredict rate", fmt.Sprintf("%.6f", rate))
+		b.Gauge("inipd_learned_mispredict_rate", "aggregate held-out learned-model mispredict rate", fmt.Sprintf("%.6f", rate))
 	}
 	if sampledUnits > 0 {
-		counter("inipd_study_sampled_units_total", "sampled-profiling ladder units executed by finished study jobs", sampledUnits)
-		counter("inipd_study_sampled_profiling_ops_total", "counter updates performed by sampled study units (actual sampled events, not scaled)", sampledStudyOps)
+		b.Counter("inipd_study_sampled_units_total", "sampled-profiling ladder units executed by finished study jobs", sampledUnits)
+		b.Counter("inipd_study_sampled_profiling_ops_total", "counter updates performed by sampled study units (actual sampled events, not scaled)", sampledStudyOps)
 	}
 
-	states := map[JobState]int{}
+	states := map[string]int{}
 	for _, rec := range s.jobs.list() {
-		states[rec.State]++
+		states[string(rec.State)]++
 	}
-	fmt.Fprintf(&b, "# HELP inipd_jobs current jobs by state\n# TYPE inipd_jobs gauge\n")
-	keys := make([]string, 0, len(states))
-	for st := range states {
-		keys = append(keys, string(st))
-	}
-	sort.Strings(keys)
-	for _, st := range keys {
-		fmt.Fprintf(&b, "inipd_jobs{state=%q} %d\n", st, states[JobState(st)])
-	}
+	b.GaugeByLabel("inipd_jobs", "current jobs by state", "state", states)
 
 	if s.cfg.Cache != nil {
 		c := s.cfg.Cache.Counters()
-		counter("inipd_result_cache_hits_total", "validated result-cache hits", c.Hits)
-		counter("inipd_result_cache_misses_total", "result-cache misses", c.Misses)
-		counter("inipd_result_cache_stores_total", "result-cache entry writes", c.Stores)
-		counter("inipd_result_cache_errors_total", "rejected entries and surfaced write failures", c.Errors)
-		counter("inipd_result_cache_heal_failures_total", "writes demoted after the cache latched read-only", c.HealFailures)
+		b.Counter("inipd_result_cache_hits_total", "validated result-cache hits", c.Hits)
+		b.Counter("inipd_result_cache_misses_total", "result-cache misses", c.Misses)
+		b.Counter("inipd_result_cache_stores_total", "result-cache entry writes", c.Stores)
+		b.Counter("inipd_result_cache_errors_total", "rejected entries and surfaced write failures", c.Errors)
+		b.Counter("inipd_result_cache_heal_failures_total", "writes demoted after the cache latched read-only", c.HealFailures)
 		ro := 0
 		if s.cfg.Cache.ReadOnly() {
 			ro = 1
 		}
-		gauge("inipd_result_cache_read_only", "1 after the cache demoted itself to read-only", ro)
+		b.Gauge("inipd_result_cache_read_only", "1 after the cache demoted itself to read-only", ro)
 	}
 	if s.cfg.Trace != nil {
-		counter("inipd_trace_dropped_events_total", "flight-recorder events dropped (overflow or post-close)", s.cfg.Trace.Dropped())
+		b.Counter("inipd_trace_dropped_events_total", "flight-recorder events dropped (overflow or post-close)", s.cfg.Trace.Dropped())
 	}
 
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprint(w, b.String())
+	b.Serve(w)
 }
